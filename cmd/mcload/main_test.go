@@ -35,15 +35,57 @@ func TestRunRejectsBadInputs(t *testing.T) {
 	}
 }
 
+// standardSpellings is every -wlan/-cell spelling mcsim or mcload has
+// accepted, with the standard it must resolve to. mcsim's tests carry
+// the same table.
+var standardSpellings = []struct {
+	bearer, flag, spelling, want string
+}{
+	{"wlan", "-wlan", "bluetooth", "Bluetooth"},
+	{"wlan", "-wlan", "Bluetooth", "Bluetooth"},
+	{"wlan", "-wlan", "802.11b", "802.11b (Wi-Fi)"},
+	{"wlan", "-wlan", "802.11b (Wi-Fi)", "802.11b (Wi-Fi)"},
+	{"wlan", "-wlan", "wifi", "802.11b (Wi-Fi)"},
+	{"wlan", "-wlan", "Wi-Fi", "802.11b (Wi-Fi)"},
+	{"wlan", "-wlan", "802.11a", "802.11a"},
+	{"wlan", "-wlan", "hiperlan2", "HiperLAN2"},
+	{"wlan", "-wlan", "HiperLAN2", "HiperLAN2"},
+	{"wlan", "-wlan", "802.11g", "802.11g"},
+	{"cellular", "-cell", "gsm", "GSM"},
+	{"cellular", "-cell", "tdma", "TDMA"},
+	{"cellular", "-cell", "cdma", "CDMA"},
+	{"cellular", "-cell", "gprs", "GPRS"},
+	{"cellular", "-cell", "edge", "EDGE"},
+	{"cellular", "-cell", "cdma2000", "CDMA2000"},
+	{"cellular", "-cell", "WCDMA", "WCDMA"},
+	{"cellular", "-cell", "wcdma", "WCDMA"},
+	{"cellular", "-cell", "umts", "WCDMA"},
+	{"cellular", "-cell", "amps", "AMPS"},
+	{"cellular", "-cell", "tacs", "TACS"},
+}
+
+// TestStandardLookupAliases drives each spelling through the CLI and reads
+// the resolved standard off the report's bearer line. mcload places no
+// circuit-switched call, so on the circuit-switched standards (AMPS,
+// TACS, GSM, TDMA) account setup never finishes: there the run must
+// fail at setup, past name lookup.
 func TestStandardLookupAliases(t *testing.T) {
-	if std, err := wlanStandard("802.11b"); err != nil || std.MaxRate == 0 {
-		t.Errorf("802.11b lookup: %v %v", std, err)
-	}
-	if std, err := wlanStandard("bluetooth"); err != nil || std.Name != "Bluetooth" {
-		t.Errorf("bluetooth lookup: %v %v", std, err)
-	}
-	if std, err := cellStandard("WCDMA"); err != nil || std.Name != "WCDMA" {
-		t.Errorf("wcdma lookup: %v %v", std, err)
+	for _, tc := range standardSpellings {
+		var out strings.Builder
+		err := run([]string{"-bearer", tc.bearer, tc.flag, tc.spelling, "-users", "1", "-duration", "1s"}, &out)
+		if err != nil {
+			if !strings.Contains(err.Error(), "setup incomplete") {
+				t.Errorf("mcload %s %q: %v", tc.flag, tc.spelling, err)
+			}
+			continue
+		}
+		prefix := "WLAN "
+		if tc.bearer == "cellular" {
+			prefix = "cellular "
+		}
+		if line := "bearer: " + prefix + tc.want + "\n"; !strings.Contains(out.String(), line) {
+			t.Errorf("mcload %s %q: report lacks %q", tc.flag, tc.spelling, line)
+		}
 	}
 }
 

@@ -7,7 +7,7 @@
 //	mcsim [-bearer wlan|cellular] [-wlan 802.11b|802.11a|802.11g|hiperlan2|bluetooth]
 //	      [-cell gprs|edge|gsm|cdma|cdma2000|wcdma] [-middleware wap|imode]
 //	      [-clients N] [-rounds N] [-seed N] [-replicas R] [-parallel N] [-faults]
-//	      [-metrics] [-metrics-format text|csv|openmetrics] [-shards N] [-optimistic]
+//	      [-metrics] [-metrics-format text|csv|openmetrics] [-shards N]
 //	      [-db-replicas N]
 //	      [-trace out.json] [-trace-sample N]
 //	      [-timeline out.json] [-timeline-interval D] [-slo default|FILE]
@@ -118,7 +118,6 @@ type scenario struct {
 	rounds      int
 	dbReplicas  int
 	shards      int
-	optimistic  bool
 	cc          string
 	faults      bool
 	metrics     bool
@@ -150,7 +149,6 @@ func run(args []string) error {
 	sloSpec := fs.String("slo", "", "evaluate SLO rules over the sampled timeline: a built-in set name (default) or a JSON rule file")
 	dbReplicas := fs.Int("db-replicas", 0, "attach a replicated data tier with this many replicas beside the primary (0 = no data tier)")
 	shards := fs.Int("shards", 1, "worker lanes for the sharded executor (output is byte-identical at any value)")
-	optimistic := fs.Bool("optimistic", false, "use the optimistic executor (a one-shard world never speculates, so output is identical; the flag mirrors mcload)")
 	cc := fs.String("cc", "reno", "TCP congestion control on every endpoint: reno or cubic (output is byte-identical per seed for either)")
 	profiles := experiments.AddProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -196,7 +194,6 @@ func run(args []string) error {
 	sc := scenario{
 		middleware: *middleware, clients: *clients, rounds: *rounds, shards: *shards,
 		dbReplicas: *dbReplicas,
-		optimistic: *optimistic,
 		cc:         ccName,
 		traceFile:  *traceFile, traceSample: *traceSample, packetTrace: *packetTrace,
 		faults:  *withFaults,
@@ -206,14 +203,14 @@ func run(args []string) error {
 	switch strings.ToLower(*bearer) {
 	case "wlan":
 		sc.bearer = core.BearerWLAN
-		std, err := wlanByName(*wlanStd)
+		std, err := wireless.StandardByName(*wlanStd)
 		if err != nil {
 			return err
 		}
 		sc.wlan = std
 	case "cellular":
 		sc.bearer = core.BearerCellular
-		std, err := cellByName(*cellStd)
+		std, err := cellular.StandardByName(*cellStd)
 		if err != nil {
 			return err
 		}
@@ -267,7 +264,6 @@ func runOne(sc scenario, seed int64, w io.Writer) error {
 	// so sc.shards only sets how many worker lanes the window loop may
 	// use — the results cannot depend on it.
 	world := simnet.WrapNetwork(mc.Net)
-	world.SetOptimistic(sc.optimistic)
 	var tl *obs.Timeline
 	if sc.timeline != "" || sc.slo != "" {
 		tl = obs.NewTimeline(sc.timelineInt)
@@ -500,46 +496,4 @@ func runOne(sc scenario, seed int64, w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-func wlanByName(name string) (wireless.Standard, error) {
-	switch strings.ToLower(name) {
-	case "bluetooth":
-		return wireless.Bluetooth, nil
-	case "802.11b", "wifi", "wi-fi":
-		return wireless.IEEE80211b, nil
-	case "802.11a":
-		return wireless.IEEE80211a, nil
-	case "hiperlan2":
-		return wireless.HiperLAN2, nil
-	case "802.11g":
-		return wireless.IEEE80211g, nil
-	default:
-		return wireless.Standard{}, fmt.Errorf("unknown WLAN standard %q", name)
-	}
-}
-
-func cellByName(name string) (cellular.Standard, error) {
-	switch strings.ToLower(name) {
-	case "gsm":
-		return cellular.GSM, nil
-	case "tdma":
-		return cellular.TDMA, nil
-	case "cdma":
-		return cellular.CDMA, nil
-	case "gprs":
-		return cellular.GPRS, nil
-	case "edge":
-		return cellular.EDGE, nil
-	case "cdma2000":
-		return cellular.CDMA2000, nil
-	case "wcdma", "umts":
-		return cellular.WCDMA, nil
-	case "amps":
-		return cellular.AMPS, nil
-	case "tacs":
-		return cellular.TACS, nil
-	default:
-		return cellular.Standard{}, fmt.Errorf("unknown cellular standard %q", name)
-	}
 }

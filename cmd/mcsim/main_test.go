@@ -17,10 +17,7 @@ func TestRunSmallWLANScenario(t *testing.T) {
 
 func TestRunFaultedScenarioDeterministic(t *testing.T) {
 	sc := scenario{middleware: "wap", clients: 2, rounds: 2, faults: true}
-	std, err := wlanByName("802.11b")
-	if err != nil {
-		t.Fatal(err)
-	}
+	std := wireless.IEEE80211b
 	sc.bearer = core.BearerWLAN
 	sc.wlan = std
 	var a, b strings.Builder
@@ -45,10 +42,7 @@ func TestRunFaultedScenarioDeterministic(t *testing.T) {
 // worker lanes over the (single-partition) full-fidelity world must not
 // change a byte of the report, including the telemetry dump.
 func TestRunShardsGolden(t *testing.T) {
-	std, err := wlanByName("802.11b")
-	if err != nil {
-		t.Fatal(err)
-	}
+	std := wireless.IEEE80211b
 	base := scenario{middleware: "wap", clients: 2, rounds: 2, metrics: true,
 		bearer: core.BearerWLAN, wlan: std}
 	var want string
@@ -88,21 +82,66 @@ func TestRunRejectsBadInputs(t *testing.T) {
 	}
 }
 
+// standardSpellings is every -wlan/-cell spelling mcsim or mcload has
+// accepted, with the standard it must resolve to. mcload's tests carry
+// the same table.
+var standardSpellings = []struct {
+	bearer, flag, spelling, want string
+}{
+	{"wlan", "-wlan", "bluetooth", "Bluetooth"},
+	{"wlan", "-wlan", "Bluetooth", "Bluetooth"},
+	{"wlan", "-wlan", "802.11b", "802.11b (Wi-Fi)"},
+	{"wlan", "-wlan", "802.11b (Wi-Fi)", "802.11b (Wi-Fi)"},
+	{"wlan", "-wlan", "wifi", "802.11b (Wi-Fi)"},
+	{"wlan", "-wlan", "Wi-Fi", "802.11b (Wi-Fi)"},
+	{"wlan", "-wlan", "802.11a", "802.11a"},
+	{"wlan", "-wlan", "hiperlan2", "HiperLAN2"},
+	{"wlan", "-wlan", "HiperLAN2", "HiperLAN2"},
+	{"wlan", "-wlan", "802.11g", "802.11g"},
+	{"cellular", "-cell", "gsm", "GSM"},
+	{"cellular", "-cell", "tdma", "TDMA"},
+	{"cellular", "-cell", "cdma", "CDMA"},
+	{"cellular", "-cell", "gprs", "GPRS"},
+	{"cellular", "-cell", "edge", "EDGE"},
+	{"cellular", "-cell", "cdma2000", "CDMA2000"},
+	{"cellular", "-cell", "WCDMA", "WCDMA"},
+	{"cellular", "-cell", "wcdma", "WCDMA"},
+	{"cellular", "-cell", "umts", "WCDMA"},
+	{"cellular", "-cell", "amps", "AMPS"},
+	{"cellular", "-cell", "tacs", "TACS"},
+}
+
 func TestStandardLookups(t *testing.T) {
-	if std, err := wlanByName("hiperlan2"); err != nil || std != wireless.HiperLAN2 {
-		t.Errorf("hiperlan2 lookup: %v %v", std, err)
-	}
-	if std, err := cellByName("WCDMA"); err != nil || std != cellular.WCDMA {
-		t.Errorf("wcdma lookup: %v %v", std, err)
-	}
-	if _, err := wlanByName("802.11b"); err != nil {
-		t.Errorf("802.11b lookup: %v", err)
-	}
-	names := []string{"gsm", "tdma", "cdma", "gprs", "edge", "cdma2000", "amps", "tacs"}
-	for _, n := range names {
-		if _, err := cellByName(n); err != nil {
-			t.Errorf("cellByName(%q): %v", n, err)
+	for _, tc := range standardSpellings {
+		var name string
+		if tc.bearer == "wlan" {
+			std, err := wireless.StandardByName(tc.spelling)
+			if err != nil {
+				t.Fatalf("%s %q: %v", tc.flag, tc.spelling, err)
+			}
+			name = std.Name
+		} else {
+			std, err := cellular.StandardByName(tc.spelling)
+			if err != nil {
+				t.Fatalf("%s %q: %v", tc.flag, tc.spelling, err)
+			}
+			name = std.Name
 		}
+		if name != tc.want {
+			t.Errorf("%s %q resolved to %q, want %q", tc.flag, tc.spelling, name, tc.want)
+		}
+		// The CLI accepts the spelling; voice-only 1G standards then fail
+		// at call setup, never at name lookup.
+		err := run([]string{"-bearer", tc.bearer, tc.flag, tc.spelling, "-clients", "1", "-rounds", "0"})
+		if err != nil && strings.Contains(err.Error(), "unknown") {
+			t.Errorf("mcsim %s %q: %v", tc.flag, tc.spelling, err)
+		}
+	}
+	if _, err := wireless.StandardByName("802.11z"); err == nil {
+		t.Error("unknown WLAN standard accepted")
+	}
+	if _, err := cellular.StandardByName("lte"); err == nil {
+		t.Error("unknown cellular standard accepted")
 	}
 }
 

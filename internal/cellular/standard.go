@@ -1,6 +1,11 @@
 package cellular
 
-import "mcommerce/internal/simnet"
+import (
+	"fmt"
+	"strings"
+
+	"mcommerce/internal/simnet"
+)
 
 // Generation labels a cellular technology generation (Table 5, column 1).
 type Generation string
@@ -75,6 +80,20 @@ var (
 // freshly allocated.
 func Standards() []Standard {
 	return []Standard{AMPS, TACS, GSM, TDMA, CDMA, GPRS, EDGE, CDMA2000, WCDMA}
+}
+
+// StandardByName resolves a command-line spelling of a Table 5 row: its
+// Name, case-insensitively, or the alias "umts" for WCDMA.
+func StandardByName(name string) (Standard, error) {
+	if strings.EqualFold(name, "umts") {
+		return WCDMA, nil
+	}
+	for _, std := range Standards() {
+		if strings.EqualFold(std.Name, name) {
+			return std, nil
+		}
+	}
+	return Standard{}, fmt.Errorf("unknown cellular standard %q", name)
 }
 
 // QoSClass is a 3G traffic class, highest priority first. The classes are

@@ -1,6 +1,9 @@
 package wireless
 
 import (
+	"fmt"
+	"strings"
+
 	"mcommerce/internal/simnet"
 )
 
@@ -73,6 +76,22 @@ var (
 // freshly allocated.
 func Standards() []Standard {
 	return []Standard{Bluetooth, IEEE80211b, IEEE80211a, HiperLAN2, IEEE80211g}
+}
+
+// StandardByName resolves a command-line spelling of a Table 4 row,
+// case-insensitively: the full Name ("802.11b (Wi-Fi)"), its first word
+// ("802.11b"), or the alias "wifi"/"wi-fi" for 802.11b.
+func StandardByName(name string) (Standard, error) {
+	switch strings.ToLower(name) {
+	case "wifi", "wi-fi":
+		return IEEE80211b, nil
+	}
+	for _, std := range Standards() {
+		if strings.EqualFold(std.Name, name) || strings.EqualFold(strings.Fields(std.Name)[0], name) {
+			return std, nil
+		}
+	}
+	return Standard{}, fmt.Errorf("unknown WLAN standard %q", name)
 }
 
 // RateAt returns the effective transmission rate at distance d meters,

@@ -164,31 +164,39 @@ func NewRunner(mc *core.MC, cfg Config) (*Runner, error) {
 // Run executes the workload and returns the report. It drives the
 // scheduler itself.
 func (r *Runner) Run() (*Report, error) {
-	// Setup: every paying user needs an account, plus one merchant.
-	setupDone := 0
+	// Setup: every paying user needs an account, plus one merchant. Each
+	// account ends opened, failed (first error kept) or unfinished when
+	// the setup budget runs out, and a short setup names all three.
+	const setupBudget = 30 * time.Second
+	opened, failed := 0, 0
+	var firstErr error
+	setupDone := func(_ apps.AccountView, err error) {
+		if err == nil {
+			opened++
+			return
+		}
+		if failed++; firstErr == nil {
+			firstErr = err
+		}
+	}
 	merchant := &apps.CommerceClient{
 		Fetcher: &device.IModeFetcher{Client: r.mc.Clients[0].IMode},
 		Origin:  r.mc.Host.Addr(), Key: []byte("payment-demo-key"),
 	}
-	merchant.OpenAccount("wl-merchant", "Merchant", 0, func(_ apps.AccountView, err error) {
-		if err == nil {
-			setupDone++
-		}
-	})
+	merchant.OpenAccount("wl-merchant", "Merchant", 0, setupDone)
 	for _, u := range r.users {
-		u := u
-		u.commerce.OpenAccount(fmt.Sprintf("wl-user-%d", u.idx), "User", 1_000_000,
-			func(_ apps.AccountView, err error) {
-				if err == nil {
-					setupDone++
-				}
-			})
+		u.commerce.OpenAccount(fmt.Sprintf("wl-user-%d", u.idx), "User", 1_000_000, setupDone)
 	}
-	if err := r.mc.Net.Sched.RunFor(30 * time.Second); err != nil {
+	if err := r.mc.Net.Sched.RunFor(setupBudget); err != nil {
 		return nil, err
 	}
-	if setupDone != len(r.users)+1 {
-		return nil, fmt.Errorf("workload: setup incomplete (%d/%d accounts)", setupDone, len(r.users)+1)
+	if total := len(r.users) + 1; opened != total {
+		cause := ""
+		if firstErr != nil {
+			cause = fmt.Sprintf(" (first error: %v)", firstErr)
+		}
+		return nil, fmt.Errorf("workload: setup incomplete: %d/%d accounts opened, %d failed%s, %d unfinished at the %v setup budget",
+			opened, total, failed, cause, total-opened-failed, setupBudget)
 	}
 
 	start := r.mc.Net.Sched.Now()

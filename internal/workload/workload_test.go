@@ -130,3 +130,43 @@ func TestWorkloadDeterministic(t *testing.T) {
 		t.Errorf("runs diverged: (%d, %v) vs (%d, %v)", ops1, p951, ops2, p952)
 	}
 }
+
+// TestSetupFailureNamesCause: a short setup reports how many accounts
+// opened, failed (with the first error) and never finished, so a stall
+// is told apart from a rejection.
+func TestSetupFailureNamesCause(t *testing.T) {
+	cases := []struct {
+		name  string
+		build func() *core.MC
+		want  string
+	}{
+		{"rejected", func() *core.MC {
+			// No application handlers: every /pay/open is a 404.
+			mc, err := core.BuildMC(core.MCConfig{Seed: 3, Devices: device.Profiles()[:2]})
+			if err != nil {
+				t.Fatalf("BuildMC: %v", err)
+			}
+			return mc
+		}, "setup incomplete: 0/3 accounts opened, 3 failed (first error: device: status 404), 0 unfinished at the 30s setup budget"},
+		{"stalled", func() *core.MC {
+			// The host is unreachable: no request ever completes.
+			mc := buildSystem(t, 3, 2)
+			for _, i := range mc.Host.Node.Ifaces() {
+				i.Up = false
+			}
+			return mc
+		}, "setup incomplete: 0/3 accounts opened, 0 failed, 3 unfinished at the 30s setup budget"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r, err := workload.NewRunner(tc.build(), workload.Config{Users: 2})
+			if err != nil {
+				t.Fatalf("NewRunner: %v", err)
+			}
+			_, err = r.Run()
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Run error = %v, want it to contain %q", err, tc.want)
+			}
+		})
+	}
+}

@@ -11,7 +11,7 @@
 # shows progress. BENCH_COUNT overrides -count, BENCH_TIME -benchtime.
 #
 # BenchmarkShardedSweep contributes the multi-core scaling grid
-# (GOMAXPROCS x worker lanes x conservative/optimistic); benchjson
+# (GOMAXPROCS x worker lanes); benchjson
 # derives speedups_vs_1_lane from its events_per_sec entries and sets a
 # top-level warning when the host reports a single core, so a recorded
 # trajectory point is never mistaken for a parallel-speedup measurement
