@@ -28,7 +28,7 @@ func BenchmarkFigure1ECSystem(b *testing.B) {
 func BenchmarkFigure2MCSystem(b *testing.B) {
 	var res *experiments.Result
 	for i := 0; i < b.N; i++ {
-		res = experiments.Figure2(int64(i + 1))
+		res = experiments.Figure2(int64(i+1), experiments.Options{})
 	}
 	b.ReportMetric(res.Get("wap_latency_ms"), "ms-wap-transaction")
 	b.ReportMetric(res.Get("imode_latency_ms"), "ms-imode-transaction")
@@ -39,7 +39,7 @@ func BenchmarkFigure2MCSystem(b *testing.B) {
 func BenchmarkTable1Applications(b *testing.B) {
 	var res *experiments.Result
 	for i := 0; i < b.N; i++ {
-		res = experiments.Table1(int64(i + 1))
+		res = experiments.Table1(int64(i+1), experiments.Options{})
 	}
 	b.ReportMetric(res.Get("total_ops"), "app-ops")
 	b.ReportMetric(res.Get("Commerce/avg_ms"), "ms-commerce-op")
@@ -51,7 +51,7 @@ func BenchmarkTable1Applications(b *testing.B) {
 func BenchmarkTable2MobileStations(b *testing.B) {
 	var res *experiments.Result
 	for i := 0; i < b.N; i++ {
-		res = experiments.Table2(int64(i + 1))
+		res = experiments.Table2(int64(i+1), experiments.Options{})
 	}
 	b.ReportMetric(res.Get("Palm i705/render_us"), "us-render-33MHz")
 	b.ReportMetric(res.Get("Toshiba E740/render_us"), "us-render-400MHz")
@@ -61,7 +61,7 @@ func BenchmarkTable2MobileStations(b *testing.B) {
 func BenchmarkTable3Middleware(b *testing.B) {
 	var res *experiments.Result
 	for i := 0; i < b.N; i++ {
-		res = experiments.Table3(int64(i + 1))
+		res = experiments.Table3(int64(i+1), experiments.Options{})
 	}
 	b.ReportMetric(res.Get("wap_first_ms"), "ms-wap-first")
 	b.ReportMetric(res.Get("imode_first_ms"), "ms-imode-first")
@@ -99,7 +99,7 @@ func BenchmarkTable5Cellular(b *testing.B) {
 func BenchmarkTCPVariants(b *testing.B) {
 	var sweep, recon *experiments.Result
 	for i := 0; i < b.N; i++ {
-		rs := experiments.TCPVariants(int64(i + 1))
+		rs := experiments.TCPVariants(int64(i+1), experiments.Options{})
 		sweep, recon = rs[0], rs[1]
 	}
 	b.ReportMetric(sweep.Get("TCP (end-to-end Reno)@0.100/goodput_bps")/1e3, "kbps-reno-10pct")
@@ -149,7 +149,7 @@ func BenchmarkMobileIPRoaming(b *testing.B) {
 func BenchmarkStreaming(b *testing.B) {
 	var res *experiments.Result
 	for i := 0; i < b.N; i++ {
-		res = experiments.Streaming(int64(i + 1))
+		res = experiments.Streaming(int64(i+1), experiments.Options{})
 	}
 	b.ReportMetric(res.Get("GPRS/stalls"), "stalls-gprs")
 	b.ReportMetric(res.Get("WCDMA/stalls"), "stalls-wcdma")
@@ -161,7 +161,7 @@ func BenchmarkStreaming(b *testing.B) {
 func BenchmarkCapacity(b *testing.B) {
 	var res *experiments.Result
 	for i := 0; i < b.N; i++ {
-		res = experiments.Capacity(int64(i + 1))
+		res = experiments.Capacity(int64(i+1), experiments.Options{})
 	}
 	b.ReportMetric(res.Get("802.11b WLAN/25/throughput"), "ops-wlan-25users")
 	b.ReportMetric(res.Get("GPRS cell/25/throughput"), "ops-gprs-25users")
@@ -172,7 +172,7 @@ func BenchmarkCapacity(b *testing.B) {
 func BenchmarkAblations(b *testing.B) {
 	var rs []*experiments.Result
 	for i := 0; i < b.N; i++ {
-		rs = experiments.Ablations(int64(i + 1))
+		rs = experiments.Ablations(int64(i+1), experiments.Options{})
 	}
 	wmlc, qos, sec, sync := rs[0], rs[1], rs[2], rs[3]
 	b.ReportMetric(wmlc.Get("wmlc_bytes"), "B-wmlc")
@@ -190,7 +190,7 @@ func BenchmarkAblations(b *testing.B) {
 func BenchmarkChaos(b *testing.B) {
 	var res *experiments.Result
 	for i := 0; i < b.N; i++ {
-		res = experiments.Chaos(int64(i + 1))[0]
+		res = experiments.Chaos(int64(i+1), experiments.Options{})[0]
 	}
 	b.ReportMetric(res.Get("faults, resilient/completion")*100, "pct-complete-resilient")
 	b.ReportMetric(res.Get("faults, fragile/completion")*100, "pct-complete-fragile")

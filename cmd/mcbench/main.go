@@ -8,6 +8,11 @@
 //	        [-timeline out.json] [-timeline-interval D]
 //	        [-cpuprofile f] [-memprofile f] [-mutexprofile f]
 //
+// -seed, -shards, -cc, -metrics, -timeline, -timeline-interval and the
+// profile flags are the experiments.Options mcsim and mcload share; the
+// options reach the experiments as an argument (experiments.RegistryTasks),
+// not through package state.
+//
 // -shards N sets the worker-lane count the sharded "scale" experiment
 // executes on. Results are byte-identical at any value — lanes change
 // which goroutines run the windows, never what the windows compute. The
@@ -45,10 +50,10 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"mcommerce/internal/experiments"
-	"mcommerce/internal/mtcp"
 )
 
 func main() {
@@ -58,60 +63,55 @@ func main() {
 	}
 }
 
-func run(args []string) error {
+// cli is mcbench's command line: the shared options plus the
+// experiment selection and output shape.
+type cli struct {
+	opts        experiments.Options
+	exp, format string
+	parallel    int
+}
+
+func newFlagSet() (*flag.FlagSet, *cli) {
+	c := &cli{}
 	fs := flag.NewFlagSet("mcbench", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment to run: all, "+strings.Join(experiments.Names(), ", "))
-	seed := fs.Int64("seed", 1, "simulation seed")
-	format := fs.String("format", "text", "output format: text or csv")
-	parallel := fs.Int("parallel", 0, "max concurrent experiments (0 = GOMAXPROCS, 1 = serial)")
-	withMetrics := fs.Bool("metrics", false, "also print attached telemetry snapshots as per-metric tables")
-	shards := fs.Int("shards", 1, "worker lanes for the sharded scale experiment (output is byte-identical at any value)")
-	cc := fs.String("cc", "reno", "TCP congestion control for transport-bearing experiments: reno or cubic (named-variant rows in the tcp experiment keep their own algorithms)")
-	timeline := fs.String("timeline", "", "export per-run telemetry time series as tagged JSON files next to this path (chaos, syncstorm, tcp)")
-	timelineInterval := fs.Duration("timeline-interval", experiments.TimelineInterval, "simulated-time sampling interval for -timeline and the SLO columns")
-	prof := experiments.AddProfileFlags(fs)
+	c.opts.AddFlags(fs, experiments.ExperimentTimelineInterval)
+	fs.StringVar(&c.exp, "exp", "all", "experiment to run: all, "+strings.Join(experiments.Names(), ", "))
+	fs.StringVar(&c.format, "format", "text", "output format: text or csv")
+	fs.IntVar(&c.parallel, "parallel", 0, "max concurrent experiments (0 = GOMAXPROCS, 1 = serial)")
+	return fs, c
+}
+
+func run(args []string) error {
+	fs, c := newFlagSet()
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *format != "text" && *format != "csv" {
-		return fmt.Errorf("unknown format %q (want text or csv)", *format)
+	if c.format != "text" && c.format != "csv" {
+		return fmt.Errorf("unknown format %q (want text or csv)", c.format)
 	}
-	if *shards < 1 {
-		return fmt.Errorf("-shards must be >= 1, got %d", *shards)
-	}
-	experiments.ScaleWorkers = *shards
-	experiments.SyncStormWorkers = *shards
-	if *timelineInterval <= 0 {
-		return fmt.Errorf("-timeline-interval must be > 0, got %v", *timelineInterval)
-	}
-	experiments.TimelineFile = *timeline
-	experiments.TimelineInterval = *timelineInterval
-	ccName, err := mtcp.ParseCC(*cc)
-	if err != nil {
+	if err := c.opts.Check(); err != nil {
 		return err
 	}
-	experiments.CC = ccName
-	if err := prof.Start(); err != nil {
-		return err
-	}
-	defer prof.Stop()
-
-	registry := experiments.Registry()
 	names := experiments.Names()
-	if *exp != "all" {
-		if _, ok := registry[*exp]; !ok {
-			return fmt.Errorf("unknown experiment %q (want all, %s)", *exp, strings.Join(names, ", "))
+	if c.exp != "all" {
+		if !slices.Contains(names, c.exp) {
+			return fmt.Errorf("unknown experiment %q (want all, %s)", c.exp, strings.Join(names, ", "))
 		}
-		names = []string{*exp}
+		names = []string{c.exp}
 	}
-	for _, results := range experiments.RunTasks(experiments.RegistryTasks(names, *seed), *parallel) {
+	if err := c.opts.Profiles.Start(); err != nil {
+		return err
+	}
+	defer c.opts.Profiles.Stop()
+
+	for _, results := range experiments.RunTasks(experiments.RegistryTasks(names, c.opts.Seed, c.opts), c.parallel) {
 		for _, res := range results {
 			all := []*experiments.Result{res}
-			if *withMetrics {
+			if c.opts.Metrics {
 				all = append(all, res.MetricsTables()...)
 			}
 			for _, r := range all {
-				if *format == "csv" {
+				if c.format == "csv" {
 					if err := r.WriteCSV(os.Stdout); err != nil {
 						return err
 					}

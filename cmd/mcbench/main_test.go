@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"mcommerce/internal/experiments"
+	"mcommerce/internal/experiments/optionstest"
 )
 
 func TestRunUnknownExperiment(t *testing.T) {
@@ -28,12 +28,15 @@ func TestRunSingleExperiment(t *testing.T) {
 }
 
 func TestRunScaleShards(t *testing.T) {
-	defer func(old int) { experiments.ScaleWorkers = old }(experiments.ScaleWorkers)
 	if err := run([]string{"-exp", "scale", "-shards", "4", "-seed", "3"}); err != nil {
 		t.Errorf("scale with 4 lanes: %v", err)
 	}
-	if experiments.ScaleWorkers != 4 {
-		t.Errorf("ScaleWorkers = %d, want 4", experiments.ScaleWorkers)
+	fs, c := newFlagSet()
+	if err := fs.Parse([]string{"-shards", "4"}); err != nil {
+		t.Fatal(err)
+	}
+	if c.opts.Shards != 4 {
+		t.Errorf("Options.Shards = %d, want 4", c.opts.Shards)
 	}
 	if err := run([]string{"-shards", "0"}); err == nil {
 		t.Error("-shards 0 accepted")
@@ -47,4 +50,20 @@ func TestRunCSVFormat(t *testing.T) {
 	if err := run([]string{"-exp", "fig1", "-format", "yaml"}); err == nil {
 		t.Error("unknown format accepted")
 	}
+}
+
+// TestFlagSurface pins every flag mcbench registers, with its default.
+func TestFlagSurface(t *testing.T) {
+	fs, _ := newFlagSet()
+	optionstest.Surface(t, fs, map[string]string{
+		"cc": "reno", "cpuprofile": "", "exp": "all", "format": "text",
+		"memprofile": "", "metrics": "false", "mutexprofile": "",
+		"parallel": "0", "seed": "1", "shards": "1", "timeline": "",
+		"timeline-interval": "250ms",
+	})
+}
+
+func TestSharedFlagErrors(t *testing.T) {
+	fs, _ := newFlagSet()
+	optionstest.RejectsBadValues(t, fs, run)
 }

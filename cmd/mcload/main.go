@@ -13,6 +13,13 @@
 //	       [-engine-timeline out.json]
 //	       [-cpuprofile f] [-memprofile f] [-mutexprofile f]
 //
+// The flags mcload shares with mcsim and mcbench (-seed, -shards, -cc,
+// -metrics, -timeline, -timeline-interval, the profile flags, and with
+// mcsim -bearer, -wlan, -cell, -trace, -trace-sample and -slo) are one
+// experiments.Options, registered, checked and finished in one place, so
+// every tier honours them: -metrics dumps the run's registry and -trace
+// exports its spans on the full-fidelity, -scale and -sync tiers alike.
+//
 // With -trace FILE, every sampled operation becomes a causal span tree and
 // the run ends by writing a Chrome trace-event (Perfetto) JSON file plus a
 // per-layer critical-path attribution table. -trace-sample N keeps every
@@ -37,8 +44,9 @@
 // (workload.SyncFlows) writing tentatively and syncing under the chaos
 // plan. -policy picks the server conflict rule; -fragile makes devices
 // roll back tentative writes on timeout — the lost-update baseline.
-// Stdout (totals, lost-update count, convergence, state digest) is
-// byte-identical at any -shards value, which verify.sh checks.
+// Stdout (totals, lost-update count, convergence, state digest) and the
+// -trace export are byte-identical at any -shards value, which verify.sh
+// checks. The storm carries no TCP, so -cc does not change it.
 //
 // With -timeline FILE, every metric in the run's registry is sampled on
 // the simulation clock at -timeline-interval and exported as
@@ -61,19 +69,14 @@ import (
 	"hash/fnv"
 	"io"
 	"os"
-	"strings"
 	"time"
 
-	"mcommerce/internal/cellular"
 	"mcommerce/internal/core"
 	"mcommerce/internal/device"
 	"mcommerce/internal/experiments"
 	"mcommerce/internal/mobiledb"
-	"mcommerce/internal/mtcp"
 	"mcommerce/internal/obs"
 	"mcommerce/internal/simnet"
-	"mcommerce/internal/trace"
-	"mcommerce/internal/wireless"
 	"mcommerce/internal/workload"
 )
 
@@ -84,135 +87,86 @@ func main() {
 	}
 }
 
-func run(args []string, w io.Writer) error {
+// cli is mcload's command line: the shared options plus the flags of
+// its three tiers.
+type cli struct {
+	opts                      experiments.Options
+	users                     int
+	duration, think           time.Duration
+	scale, sync               bool
+	devices, replicas         int
+	policy                    string
+	fragile, noChaos          bool
+	writeMean, syncMean       time.Duration
+	gateways, cells, stations int
+	remote                    int
+	engineTimeline            string
+}
+
+func newFlagSet() (*flag.FlagSet, *cli) {
+	c := &cli{}
 	fs := flag.NewFlagSet("mcload", flag.ContinueOnError)
-	bearer := fs.String("bearer", "wlan", "radio bearer: wlan or cellular")
-	wlanStd := fs.String("wlan", "802.11b", "WLAN standard for -bearer wlan")
-	cellStd := fs.String("cell", "gprs", "cellular standard for -bearer cellular")
-	users := fs.Int("users", 10, "virtual user population")
-	duration := fs.Duration("duration", 2*time.Minute, "virtual run duration")
-	think := fs.Duration("think", 2*time.Second, "mean think time between operations")
-	seed := fs.Int64("seed", 1, "simulation seed")
-	traceFile := fs.String("trace", "", "write sampled operations as a Chrome trace-event (Perfetto) JSON file and print a critical-path table")
-	traceSample := fs.Int("trace-sample", 1, "with -trace, keep every Nth operation (deterministic 1-in-N sampling by trace ID)")
-	scale := fs.Bool("scale", false, "run the sharded scale tier (virtual stations on cell aggregators) instead of the full-fidelity deployment")
-	sync := fs.Bool("sync", false, "run the replicated data tier storm: virtual disconnected devices syncing to per-cluster replica groups under the chaos plan")
-	devices := fs.Int("devices", 100, "with -sync, virtual devices per cell")
-	replicas := fs.Int("replicas", 2, "with -sync, replica nodes beside each cluster's primary")
-	policy := fs.String("policy", "lww", "with -sync, server conflict policy: lww, server-wins, merge, fragile")
-	fragile := fs.Bool("fragile", false, "with -sync, devices roll back tentative writes on timeout (the lost-update baseline)")
-	noChaos := fs.Bool("no-chaos", false, "with -sync, skip the per-cluster fault plan")
-	writeMean := fs.Duration("write-mean", 2*time.Second, "with -sync, mean gap between a device's disconnected writes")
-	syncMean := fs.Duration("sync-mean", 4*time.Second, "with -sync, mean gap between a device's sync attempts")
-	gateways := fs.Int("gateways", 4, "with -scale, number of gateway clusters")
-	cells := fs.Int("cells", 2, "with -scale, cell aggregator nodes per cluster")
-	stations := fs.Int("stations", 50, "with -scale, virtual stations per cell")
-	remote := fs.Int("remote", 200, "with -scale, per mille of each cell's stations that target the next cluster's host")
-	cc := fs.String("cc", "reno", "TCP congestion control on every full-fidelity endpoint: reno or cubic (output is byte-identical per seed for either; -scale and -sync tiers carry no TCP)")
-	shards := fs.Int("shards", 1, "worker lanes for the sharded executor (output is byte-identical at any value)")
-	withMetrics := fs.Bool("metrics", false, "with -scale, dump the merged telemetry registry after the run")
-	timelineFile := fs.String("timeline", "", "sample every metric on the simulation clock and write the time-series JSON here")
-	timelineInterval := fs.Duration("timeline-interval", 100*time.Millisecond, "simulated-time sampling interval for -timeline and -slo")
-	sloSpec := fs.String("slo", "", "evaluate SLO rules over the sampled timeline: default (the built-in set for the selected tier), another built-in set name, or a JSON rule file")
-	engineTimeline := fs.String("engine-timeline", "", "with -scale, write the executor's per-shard scheduling counters as time-series JSON (varies with -shards by design)")
-	prof := experiments.AddProfileFlags(fs)
+	c.opts.AddFlags(fs, 100*time.Millisecond)
+	c.opts.AddStationFlags(fs)
+	fs.IntVar(&c.users, "users", 10, "virtual user population")
+	fs.DurationVar(&c.duration, "duration", 2*time.Minute, "virtual run duration")
+	fs.DurationVar(&c.think, "think", 2*time.Second, "mean think time between operations")
+	fs.BoolVar(&c.scale, "scale", false, "run the sharded scale tier (virtual stations on cell aggregators) instead of the full-fidelity deployment")
+	fs.BoolVar(&c.sync, "sync", false, "run the replicated data tier storm: virtual disconnected devices syncing to per-cluster replica groups under the chaos plan")
+	fs.IntVar(&c.devices, "devices", 100, "with -sync, virtual devices per cell")
+	fs.IntVar(&c.replicas, "replicas", 2, "with -sync, replica nodes beside each cluster's primary")
+	fs.StringVar(&c.policy, "policy", "lww", "with -sync, server conflict policy: lww, server-wins, merge, fragile")
+	fs.BoolVar(&c.fragile, "fragile", false, "with -sync, devices roll back tentative writes on timeout (the lost-update baseline)")
+	fs.BoolVar(&c.noChaos, "no-chaos", false, "with -sync, skip the per-cluster fault plan")
+	fs.DurationVar(&c.writeMean, "write-mean", 2*time.Second, "with -sync, mean gap between a device's disconnected writes")
+	fs.DurationVar(&c.syncMean, "sync-mean", 4*time.Second, "with -sync, mean gap between a device's sync attempts")
+	fs.IntVar(&c.gateways, "gateways", 4, "with -scale, number of gateway clusters")
+	fs.IntVar(&c.cells, "cells", 2, "with -scale, cell aggregator nodes per cluster")
+	fs.IntVar(&c.stations, "stations", 50, "with -scale, virtual stations per cell")
+	fs.IntVar(&c.remote, "remote", 200, "with -scale, per mille of each cell's stations that target the next cluster's host")
+	fs.StringVar(&c.engineTimeline, "engine-timeline", "", "with -scale, write the executor's per-shard scheduling counters as time-series JSON (varies with -shards by design)")
+	return fs, c
+}
+
+func run(args []string, w io.Writer) error {
+	fs, c := newFlagSet()
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *traceSample < 1 {
-		return fmt.Errorf("-trace-sample must be >= 1, got %d", *traceSample)
+	if err := c.opts.Check(); err != nil {
+		return err
 	}
-	if *shards < 1 {
-		return fmt.Errorf("-shards must be >= 1, got %d", *shards)
-	}
-	if *timelineInterval <= 0 {
-		return fmt.Errorf("-timeline-interval must be > 0, got %v", *timelineInterval)
-	}
-	if *engineTimeline != "" && !*scale {
+	if c.engineTimeline != "" && !c.scale {
 		return fmt.Errorf("-engine-timeline requires -scale (only the sharded executor has engine counters to sample)")
 	}
-	obsCfg := obsOpts{
-		timeline: *timelineFile, interval: *timelineInterval,
-		slo: *sloSpec, engineTimeline: *engineTimeline,
-	}
-	if *sloSpec != "" && !strings.EqualFold(*sloSpec, "default") {
-		if _, err := obs.ResolveRules(*sloSpec); err != nil {
-			return fmt.Errorf("-slo: %w", err)
-		}
-	}
-	if err := prof.Start(); err != nil {
+	if err := c.opts.Profiles.Start(); err != nil {
 		return err
 	}
-	defer prof.Stop()
-	if *sync {
-		pol, err := mobiledb.ParsePolicy(*policy)
-		if err != nil {
-			return err
-		}
-		return runSync(syncOpts{
-			seed: *seed, gateways: *gateways, cells: *cells, devices: *devices,
-			replicas: *replicas, remote: *remote, shards: *shards,
-			policy: pol, fragile: *fragile, noChaos: *noChaos,
-			writeMean: *writeMean, syncMean: *syncMean,
-			duration: *duration, metrics: *withMetrics,
-			obs: obsCfg,
-		}, w)
-	}
-	if *scale {
-		return runScale(scaleOpts{
-			seed: *seed, gateways: *gateways, cells: *cells, stations: *stations,
-			remote: *remote, shards: *shards,
-			think: *think, duration: *duration,
-			metrics: *withMetrics, traceFile: *traceFile, traceSample: *traceSample,
-			obs: obsCfg,
-		}, w)
+	defer c.opts.Profiles.Stop()
+	switch {
+	case c.sync:
+		return runSync(c, w)
+	case c.scale:
+		return runScale(c, w)
 	}
 
-	ccName, err := mtcp.ParseCC(*cc)
-	if err != nil {
-		return err
-	}
-	cfg := core.MCConfig{Seed: *seed, CC: ccName}
-	switch strings.ToLower(*bearer) {
-	case "wlan":
-		cfg.Bearer = core.BearerWLAN
-		std, err := wireless.StandardByName(*wlanStd)
-		if err != nil {
-			return err
-		}
-		cfg.WLANStandard = std
-	case "cellular":
-		cfg.Bearer = core.BearerCellular
-		std, err := cellular.StandardByName(*cellStd)
-		if err != nil {
-			return err
-		}
-		cfg.CellStandard = std
-	default:
-		return fmt.Errorf("unknown bearer %q", *bearer)
-	}
+	o := &c.opts
+	cfg := o.MCConfig(o.Seed)
 	profiles := device.Profiles()
-	for i := 0; i < *users; i++ {
+	for i := 0; i < c.users; i++ {
 		cfg.Devices = append(cfg.Devices, profiles[i%len(profiles)])
 	}
-
 	mc, err := core.BuildMC(cfg)
 	if err != nil {
 		return err
 	}
-	var tl *obs.Timeline
-	if obsCfg.active() {
-		tl = obs.NewTimeline(obsCfg.interval)
-		tl.Attach("", mc.Net)
-	}
-	if *traceFile != "" {
-		mc.Net.Tracer.EnableExport(*traceSample)
-	}
+	world := simnet.WrapNetwork(mc.Net)
+	tl := o.Instrument(world)
 	if err := workload.RegisterHandlers(mc.Host); err != nil {
 		return err
 	}
 	runner, err := workload.NewRunner(mc, workload.Config{
-		Users: *users, ThinkMean: *think, Duration: *duration,
+		Users: c.users, ThinkMean: c.think, Duration: c.duration,
 	})
 	if err != nil {
 		return err
@@ -227,230 +181,99 @@ func run(args []string, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "bearer: %s\n", bearerName)
 	fmt.Fprint(w, report.String())
-	if err := finishObs(w, obsCfg, tl, "default"); err != nil {
-		return err
-	}
-	if *traceFile != "" {
-		if err := exportTrace(w, mc.Net.Tracer.Spans(), *traceFile, "operations"); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// obsOpts is the resolved observability flag set, shared by every tier.
-type obsOpts struct {
-	timeline       string
-	interval       time.Duration
-	slo            string
-	engineTimeline string
-}
-
-// active reports whether a timeline needs to be attached at all.
-func (o obsOpts) active() bool { return o.timeline != "" || o.slo != "" }
-
-// finishObs evaluates -slo over the sampled timeline (tierSet names the
-// built-in rule set "-slo default" resolves to on this tier), prints the
-// verdicts and writes the -timeline file.
-func finishObs(w io.Writer, o obsOpts, tl *obs.Timeline, tierSet string) error {
-	if tl == nil {
-		return nil
-	}
-	var slo []obs.Interval
-	if o.slo != "" {
-		spec := o.slo
-		if strings.EqualFold(spec, "default") {
-			spec = tierSet
-		}
-		rules, err := obs.ResolveRules(spec)
-		if err != nil {
-			return err
-		}
-		slo = obs.Evaluate(tl, rules)
-		fmt.Fprintf(w, "\nSLO verdicts (%d rules, %d violation intervals):\n", len(rules), len(slo))
-		if len(slo) == 0 {
-			fmt.Fprintln(w, "  all SLOs held")
-		}
-		for _, iv := range slo {
-			state := "resolved"
-			if !iv.Resolved {
-				state = "firing at end"
-			}
-			fmt.Fprintf(w, "  %-24s %-36s %8s .. %-8s (%s, %s)\n",
-				iv.Rule, iv.Series, iv.Start, iv.End, iv.End-iv.Start, state)
-		}
-	}
-	if o.timeline != "" {
-		f, err := os.Create(o.timeline)
-		if err != nil {
-			return err
-		}
-		if err := obs.WriteJSON(f, tl, slo); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		samples := 0
-		for _, ws := range tl.Worlds() {
-			if s := ws.Samples(); s > samples {
-				samples = s
-			}
-		}
-		// The output path is not part of the deterministic report;
-		// keep stdout byte-comparable across same-seed runs.
-		fmt.Fprintf(os.Stderr, "timeline: %d samples at %s -> %s\n", samples, tl.Interval(), o.timeline)
-	}
-	return nil
-}
-
-// writeEngineTimeline exports the per-shard engine counters sampled
-// during a -scale run. Stderr-style diagnostics in a file: the counters
-// vary with -shards, so the file is not byte-comparable across worker
-// counts (everything on stdout still is).
-func writeEngineTimeline(o obsOpts, world *simnet.Sharded) error {
-	if o.engineTimeline == "" {
-		return nil
-	}
-	f, err := os.Create(o.engineTimeline)
-	if err != nil {
-		return err
-	}
-	if err := obs.WriteEngineJSON(f, world, o.interval); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// scaleOpts is the resolved -scale flag set.
-type scaleOpts struct {
-	seed                      int64
-	gateways, cells, stations int
-	remote, shards            int
-	think, duration           time.Duration
-	metrics                   bool
-	traceFile                 string
-	traceSample               int
-	obs                       obsOpts
+	return o.Finish(w, world, tl, experiments.Tier{SLO: "default", Sampled: "operations"})
 }
 
 // runScale builds and runs the sharded scale world. Everything written
 // to w (and the trace file) is deterministic per seed and invariant to
-// o.shards; wall-clock goes to stderr only, so two runs at different
+// -shards; wall-clock goes to stderr only, so two runs at different
 // worker counts stay byte-comparable.
-func runScale(o scaleOpts, w io.Writer) error {
+func runScale(c *cli, w io.Writer) error {
+	o := &c.opts
 	sw, err := experiments.BuildScale(experiments.ScaleConfig{
-		Seed:            o.seed,
-		Gateways:        o.gateways,
-		CellsPerGateway: o.cells,
-		StationsPerCell: o.stations,
-		RemotePerMille:  o.remote,
-		ThinkMean:       o.think,
-		Duration:        o.duration,
-		Workers:         o.shards,
+		Seed:            o.Seed,
+		Gateways:        c.gateways,
+		CellsPerGateway: c.cells,
+		StationsPerCell: c.stations,
+		RemotePerMille:  c.remote,
+		ThinkMean:       c.think,
+		Duration:        c.duration,
+		Workers:         o.Shards,
 	})
 	if err != nil {
 		return err
 	}
-	if o.traceFile != "" {
-		for k := 0; k < sw.World.NumShards(); k++ {
-			sw.World.Shard(k).Tracer.EnableExport(o.traceSample)
-		}
-	}
-	var tl *obs.Timeline
-	if o.obs.active() {
-		tl = obs.NewTimeline(o.obs.interval)
-		tl.AttachSharded(sw.World)
-	}
-	if o.obs.engineTimeline != "" {
-		sw.World.EnableEngineTimeline(o.obs.interval)
+	tl := o.Instrument(sw.World)
+	if c.engineTimeline != "" {
+		sw.World.EnableEngineTimeline(o.TimelineInterval)
 	}
 	start := time.Now()
 	rep, err := sw.Run()
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "wall: %v (%d worker lanes)\n", time.Since(start).Round(time.Millisecond), o.shards)
+	fmt.Fprintf(os.Stderr, "wall: %v (%d worker lanes)\n", time.Since(start).Round(time.Millisecond), o.Shards)
 	// Engine internals vary with worker count, so they go to stderr:
 	// stdout stays byte-comparable across lane counts.
 	fmt.Fprintln(os.Stderr, "engine internals:")
 	sw.World.EngineSnapshot().WriteText(os.Stderr)
 
 	fmt.Fprintf(w, "scale: %d clusters x %d cells x %d stations = %d virtual stations\n",
-		o.gateways, o.cells, o.stations, rep.Stations)
+		c.gateways, c.cells, c.stations, rep.Stations)
 	fmt.Fprintf(w, "shards: %d, lookahead %v\n", rep.Shards, sw.World.Lookahead())
-	for c, cl := range rep.Clusters {
-		fmt.Fprintf(w, "cluster %d: ops=%d timeouts=%d served=%d\n", c, cl.Ops, cl.Timeouts, cl.Served)
+	for k, cl := range rep.Clusters {
+		fmt.Fprintf(w, "cluster %d: ops=%d timeouts=%d served=%d\n", k, cl.Ops, cl.Timeouts, cl.Served)
 	}
 	fmt.Fprintf(w, "total: ops=%d timeouts=%d events=%d now=%v\n",
 		rep.Ops, rep.Timeouts, rep.Executed, sw.World.Now())
-	if err := finishObs(w, o.obs, tl, "scale"); err != nil {
+	if err := o.Finish(w, sw.World, tl, experiments.Tier{SLO: "scale", Sampled: "operations"}); err != nil {
 		return err
 	}
-	if err := writeEngineTimeline(o.obs, sw.World); err != nil {
-		return err
+	if c.engineTimeline == "" {
+		return nil
 	}
-	if o.traceFile != "" {
-		if err := exportTrace(w, sw.World.Spans(), o.traceFile, "operations"); err != nil {
-			return err
-		}
-	}
-	if o.metrics {
-		snap := sw.World.Snapshot()
-		fmt.Fprintf(w, "\ntelemetry registry (%d metrics):\n", len(snap.Entries))
-		return snap.WriteText(w)
-	}
-	return nil
-}
-
-// syncOpts is the resolved -sync flag set.
-type syncOpts struct {
-	seed                      int64
-	gateways, cells, devices  int
-	replicas, remote, shards  int
-	policy                    mobiledb.Policy
-	fragile, noChaos, metrics bool
-	writeMean, syncMean       time.Duration
-	duration                  time.Duration
-	obs                       obsOpts
+	// A diagnostic in a file: the counters vary with -shards, so unlike
+	// everything on stdout it is not byte-comparable across worker counts.
+	return experiments.WriteFile(c.engineTimeline, func(f io.Writer) error {
+		return obs.WriteEngineJSON(f, sw.World, o.TimelineInterval)
+	})
 }
 
 // runSync builds and runs the replicated data tier storm. Stdout is
-// deterministic per seed and invariant to o.shards (the verify script
+// deterministic per seed and invariant to -shards (the verify script
 // compares serial and sharded runs byte for byte); wall-clock and engine
 // internals go to stderr.
-func runSync(o syncOpts, w io.Writer) error {
+func runSync(c *cli, w io.Writer) error {
+	o := &c.opts
+	pol, err := mobiledb.ParsePolicy(c.policy)
+	if err != nil {
+		return err
+	}
 	sw, err := experiments.BuildSyncStorm(experiments.SyncStormConfig{
-		Seed:            o.seed,
-		Gateways:        o.gateways,
-		CellsPerGateway: o.cells,
-		DevicesPerCell:  o.devices,
-		Replicas:        o.replicas,
-		RemotePerMille:  o.remote,
-		Policy:          o.policy,
-		Fragile:         o.fragile,
-		NoChaos:         o.noChaos,
-		WriteMean:       o.writeMean,
-		SyncMean:        o.syncMean,
-		Duration:        o.duration,
-		Workers:         o.shards,
+		Seed:            o.Seed,
+		Gateways:        c.gateways,
+		CellsPerGateway: c.cells,
+		DevicesPerCell:  c.devices,
+		Replicas:        c.replicas,
+		RemotePerMille:  c.remote,
+		Policy:          pol,
+		Fragile:         c.fragile,
+		NoChaos:         c.noChaos,
+		WriteMean:       c.writeMean,
+		SyncMean:        c.syncMean,
+		Duration:        c.duration,
+		Workers:         o.Shards,
 	})
 	if err != nil {
 		return err
 	}
-	var tl *obs.Timeline
-	if o.obs.active() {
-		tl = obs.NewTimeline(o.obs.interval)
-		tl.AttachSharded(sw.World)
-	}
+	tl := o.Instrument(sw.World)
 	start := time.Now()
 	rep, err := sw.Run()
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "wall: %v (%d worker lanes)\n", time.Since(start).Round(time.Millisecond), o.shards)
+	fmt.Fprintf(os.Stderr, "wall: %v (%d worker lanes)\n", time.Since(start).Round(time.Millisecond), o.Shards)
 	if tl != nil {
 		for _, in := range sw.Injectors {
 			tl.IngestFaults(in)
@@ -458,7 +281,7 @@ func runSync(o syncOpts, w io.Writer) error {
 	}
 
 	fmt.Fprintf(w, "syncstorm: %d clusters x %d cells x %d devices = %d devices, %d-way replication, policy %s\n",
-		o.gateways, o.cells, o.devices, rep.Devices, o.replicas+1, o.policy)
+		c.gateways, c.cells, c.devices, rep.Devices, c.replicas+1, pol)
 	fmt.Fprintf(w, "writes=%d syncs=%d confirmed=%d overridden=%d\n",
 		rep.Writes, rep.Syncs, rep.Confirmed, rep.Overridden)
 	fmt.Fprintf(w, "conflicts=%d merges=%d duplicates=%d timeouts=%d redirects=%d faults=%d\n",
@@ -473,32 +296,5 @@ func runSync(o syncOpts, w io.Writer) error {
 	h := fnv.New64a()
 	io.WriteString(h, sw.Digest())
 	fmt.Fprintf(w, "digest: %016x\n", h.Sum64())
-	if err := finishObs(w, o.obs, tl, "syncstorm"); err != nil {
-		return err
-	}
-	if o.metrics {
-		snap := sw.World.Snapshot()
-		fmt.Fprintf(w, "\ntelemetry registry (%d metrics):\n", len(snap.Entries))
-		return snap.WriteText(w)
-	}
-	return nil
-}
-
-// exportTrace writes spans as a Perfetto JSON file and prints the
-// critical-path attribution table.
-func exportTrace(w io.Writer, spans []trace.Span, path, what string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := trace.WritePerfetto(f, spans); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	bds := trace.Analyze(spans)
-	fmt.Fprintf(w, "trace: %d spans, %d sampled %s -> %s\n", len(spans), len(bds), what, path)
-	return trace.WriteTable(w, bds)
+	return o.Finish(w, sw.World, tl, experiments.Tier{SLO: "syncstorm", Sampled: "operations"})
 }

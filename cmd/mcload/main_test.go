@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"mcommerce/internal/experiments/optionstest"
 )
 
 func TestRunSmallLoad(t *testing.T) {
@@ -145,5 +147,52 @@ func TestScaleSameSeedDeterministic(t *testing.T) {
 	}
 	if a.String() != b.String() {
 		t.Error("same-seed scale runs are not byte-identical")
+	}
+}
+
+// TestFlagSurface pins every flag mcload registers, with its default.
+func TestFlagSurface(t *testing.T) {
+	fs, _ := newFlagSet()
+	optionstest.Surface(t, fs, map[string]string{
+		"bearer": "wlan", "cc": "reno", "cell": "gprs", "cells": "2",
+		"cpuprofile": "", "devices": "100", "duration": "2m0s",
+		"engine-timeline": "", "fragile": "false", "gateways": "4",
+		"memprofile": "", "metrics": "false", "mutexprofile": "",
+		"no-chaos": "false", "policy": "lww", "remote": "200", "replicas": "2",
+		"scale": "false", "seed": "1", "shards": "1", "slo": "",
+		"stations": "50", "sync": "false", "sync-mean": "4s", "think": "2s",
+		"timeline": "", "timeline-interval": "100ms", "trace": "",
+		"trace-sample": "1", "users": "10", "wlan": "802.11b", "write-mean": "2s",
+	})
+}
+
+func TestSharedFlagErrors(t *testing.T) {
+	fs, _ := newFlagSet()
+	optionstest.RejectsBadValues(t, fs, func(args []string) error { return run(args, io.Discard) })
+}
+
+// TestEveryTierHonoursMetricsAndTrace runs each tier with the shared
+// -metrics and -trace flags: every one must dump its registry and write
+// the Perfetto file.
+func TestEveryTierHonoursMetricsAndTrace(t *testing.T) {
+	dir := t.TempDir()
+	for name, args := range map[string][]string{
+		"full":  {"-users", "2", "-duration", "10s"},
+		"scale": scaleArgs("1"),
+		"sync":  {"-sync", "-gateways", "2", "-cells", "1", "-devices", "10", "-duration", "5s"},
+	} {
+		tf := filepath.Join(dir, name+".json")
+		var out strings.Builder
+		if err := run(append(args, "-metrics", "-trace", tf), &out); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, want := range []string{"\ntelemetry registry (", "trace: "} {
+			if !strings.Contains(out.String(), want) {
+				t.Errorf("%s tier output lacks %q", name, want)
+			}
+		}
+		if fi, err := os.Stat(tf); err != nil || fi.Size() == 0 {
+			t.Errorf("%s tier wrote no trace file: %v", name, err)
+		}
 	}
 }

@@ -13,6 +13,13 @@
 //	      [-timeline out.json] [-timeline-interval D] [-slo default|FILE]
 //	      [-cpuprofile f] [-memprofile f] [-mutexprofile f]
 //
+// The flags mcsim shares with mcload and mcbench (-seed, -shards, -cc,
+// -metrics, -timeline, -timeline-interval, the profile flags, and with
+// mcload -bearer, -wlan, -cell, -trace, -trace-sample and -slo) are one
+// experiments.Options, registered, checked and finished in one place.
+// mcsim adds only its scenario flags; -middleware must be wap or imode,
+// -clients at least 1 and -rounds at least 0.
+//
 // -shards N sets the worker-lane count of the sharded executor the run
 // goes through (the full-fidelity world is one partition, so lanes only
 // change which goroutines execute it — never the results: output at any
@@ -89,12 +96,8 @@ import (
 	"mcommerce/internal/device"
 	"mcommerce/internal/experiments"
 	"mcommerce/internal/faults"
-	"mcommerce/internal/mtcp"
-	"mcommerce/internal/obs"
 	"mcommerce/internal/simnet"
-	"mcommerce/internal/trace"
 	"mcommerce/internal/webserver"
-	"mcommerce/internal/wireless"
 )
 
 func main() {
@@ -105,141 +108,104 @@ func main() {
 }
 
 // scenario is one fully resolved simulation configuration, shared
-// read-only across replicas.
+// read-only across replicas: the shared options plus mcsim's own.
 type scenario struct {
-	bearer      core.BearerKind
-	wlan        wireless.Standard
-	cell        cellular.Standard
+	experiments.Options
 	middleware  string
-	traceFile   string
-	traceSample int
-	packetTrace bool
 	clients     int
 	rounds      int
 	dbReplicas  int
-	shards      int
-	cc          string
 	faults      bool
-	metrics     bool
+	packetTrace bool
 	metricsFmt  string
-	timeline    string
-	timelineInt time.Duration
-	slo         string
+}
+
+// cli is mcsim's command line: the scenario plus the replica fan-out.
+type cli struct {
+	sc                 scenario
+	replicas, parallel int
+}
+
+func newFlagSet() (*flag.FlagSet, *cli) {
+	c := &cli{}
+	sc := &c.sc
+	fs := flag.NewFlagSet("mcsim", flag.ContinueOnError)
+	sc.Options.AddFlags(fs, 100*time.Millisecond)
+	sc.Options.AddStationFlags(fs)
+	fs.StringVar(&sc.middleware, "middleware", "wap", "middleware path for the workload: wap or imode")
+	fs.IntVar(&sc.clients, "clients", 5, "number of mobile stations (cycled through Table 2)")
+	fs.IntVar(&sc.rounds, "rounds", 10, "browse transactions per station")
+	fs.IntVar(&c.replicas, "replicas", 1, "independent replicas at consecutive seeds")
+	fs.IntVar(&c.parallel, "parallel", 0, "max concurrent replicas (0 = GOMAXPROCS, 1 = serial)")
+	fs.BoolVar(&sc.packetTrace, "packet-trace", false, "print a low-level packet trace of the whole run to stderr (single replica only)")
+	fs.BoolVar(&sc.faults, "faults", false, "inject the default fault plan (link flaps, brownout, gateway and host crashes, partition) during the run")
+	fs.StringVar(&sc.metricsFmt, "metrics-format", "text", "telemetry dump format: text, csv or openmetrics")
+	fs.IntVar(&sc.dbReplicas, "db-replicas", 0, "attach a replicated data tier with this many replicas beside the primary (0 = no data tier)")
+	return fs, c
 }
 
 func run(args []string) error {
-	fs := flag.NewFlagSet("mcsim", flag.ContinueOnError)
-	bearer := fs.String("bearer", "wlan", "radio bearer: wlan or cellular")
-	wlanStd := fs.String("wlan", "802.11b", "WLAN standard (Table 4): bluetooth, 802.11b, 802.11a, hiperlan2, 802.11g")
-	cellStd := fs.String("cell", "gprs", "cellular standard (Table 5): gsm, tdma, cdma, gprs, edge, cdma2000, wcdma")
-	middleware := fs.String("middleware", "wap", "middleware path for the workload: wap or imode")
-	clients := fs.Int("clients", 5, "number of mobile stations (cycled through Table 2)")
-	rounds := fs.Int("rounds", 10, "browse transactions per station")
-	seed := fs.Int64("seed", 1, "simulation seed (replica i runs at seed+i)")
-	replicas := fs.Int("replicas", 1, "independent replicas at consecutive seeds")
-	parallel := fs.Int("parallel", 0, "max concurrent replicas (0 = GOMAXPROCS, 1 = serial)")
-	traceFile := fs.String("trace", "", "write sampled transactions as a Chrome trace-event (Perfetto) JSON file and print a critical-path table (single replica only)")
-	traceSample := fs.Int("trace-sample", 1, "with -trace, keep every Nth transaction (deterministic 1-in-N sampling by trace ID)")
-	packetTrace := fs.Bool("packet-trace", false, "print a low-level packet trace of the whole run to stderr (single replica only)")
-	withFaults := fs.Bool("faults", false, "inject the default fault plan (link flaps, brownout, gateway and host crashes, partition) during the run")
-	withMetrics := fs.Bool("metrics", false, "dump the full telemetry registry (every layer's counters, gauges and latency histograms) after the run")
-	metricsFormat := fs.String("metrics-format", "text", "telemetry dump format: text, csv or openmetrics")
-	timelineFile := fs.String("timeline", "", "sample every metric on the simulation clock and write the time-series JSON here (single replica only)")
-	timelineInterval := fs.Duration("timeline-interval", 100*time.Millisecond, "simulated-time sampling interval for -timeline and -slo")
-	sloSpec := fs.String("slo", "", "evaluate SLO rules over the sampled timeline: a built-in set name (default) or a JSON rule file")
-	dbReplicas := fs.Int("db-replicas", 0, "attach a replicated data tier with this many replicas beside the primary (0 = no data tier)")
-	shards := fs.Int("shards", 1, "worker lanes for the sharded executor (output is byte-identical at any value)")
-	cc := fs.String("cc", "reno", "TCP congestion control on every endpoint: reno or cubic (output is byte-identical per seed for either)")
-	profiles := experiments.AddProfileFlags(fs)
+	fs, c := newFlagSet()
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *shards < 1 {
-		return fmt.Errorf("-shards must be >= 1, got %d", *shards)
-	}
-	if err := profiles.Start(); err != nil {
+	sc := &c.sc
+	if err := sc.Check(); err != nil {
 		return err
 	}
-	defer profiles.Stop()
-	switch strings.ToLower(*metricsFormat) {
+	format := strings.ToLower(sc.metricsFmt)
+	switch format {
 	case "text", "csv", "openmetrics":
 	default:
-		return fmt.Errorf("unknown -metrics-format %q (want text, csv or openmetrics)", *metricsFormat)
+		return fmt.Errorf("unknown -metrics-format %q (want text, csv or openmetrics)", sc.metricsFmt)
 	}
-	if *replicas < 1 {
-		return fmt.Errorf("-replicas must be >= 1, got %d", *replicas)
+	sc.metricsFmt = format
+	sc.middleware = strings.ToLower(sc.middleware)
+	if sc.middleware != "wap" && sc.middleware != "imode" {
+		return fmt.Errorf("unknown -middleware %q (want wap or imode)", sc.middleware)
 	}
-	if (*traceFile != "" || *packetTrace) && *replicas > 1 {
+	if sc.clients < 1 {
+		return fmt.Errorf("-clients must be >= 1, got %d", sc.clients)
+	}
+	if sc.rounds < 0 {
+		return fmt.Errorf("-rounds must be >= 0, got %d", sc.rounds)
+	}
+	if c.replicas < 1 {
+		return fmt.Errorf("-replicas must be >= 1, got %d", c.replicas)
+	}
+	if (sc.Trace != "" || sc.packetTrace) && c.replicas > 1 {
 		return fmt.Errorf("-trace and -packet-trace require -replicas 1 (traces from concurrent replicas would interleave)")
 	}
-	if *timelineFile != "" && *replicas > 1 {
+	if sc.Timeline != "" && c.replicas > 1 {
 		return fmt.Errorf("-timeline requires -replicas 1 (concurrent replicas would fight over the file)")
 	}
-	if *timelineInterval <= 0 {
-		return fmt.Errorf("-timeline-interval must be > 0, got %v", *timelineInterval)
-	}
-	if *sloSpec != "" {
-		if _, err := obs.ResolveRules(*sloSpec); err != nil {
-			return fmt.Errorf("-slo: %w", err)
-		}
-	}
-	if *traceSample < 1 {
-		return fmt.Errorf("-trace-sample must be >= 1, got %d", *traceSample)
-	}
-
-	ccName, err := mtcp.ParseCC(*cc)
-	if err != nil {
+	if err := sc.Profiles.Start(); err != nil {
 		return err
 	}
-	sc := scenario{
-		middleware: *middleware, clients: *clients, rounds: *rounds, shards: *shards,
-		dbReplicas: *dbReplicas,
-		cc:         ccName,
-		traceFile:  *traceFile, traceSample: *traceSample, packetTrace: *packetTrace,
-		faults:  *withFaults,
-		metrics: *withMetrics, metricsFmt: strings.ToLower(*metricsFormat),
-		timeline: *timelineFile, timelineInt: *timelineInterval, slo: *sloSpec,
-	}
-	switch strings.ToLower(*bearer) {
-	case "wlan":
-		sc.bearer = core.BearerWLAN
-		std, err := wireless.StandardByName(*wlanStd)
-		if err != nil {
-			return err
-		}
-		sc.wlan = std
-	case "cellular":
-		sc.bearer = core.BearerCellular
-		std, err := cellular.StandardByName(*cellStd)
-		if err != nil {
-			return err
-		}
-		sc.cell = std
-	default:
-		return fmt.Errorf("unknown bearer %q", *bearer)
-	}
+	defer sc.Profiles.Stop()
 
-	if *replicas == 1 {
-		return runOne(sc, *seed, os.Stdout)
+	if c.replicas == 1 {
+		return runOne(*sc, sc.Seed, os.Stdout)
 	}
 
 	type report struct {
 		out string
 		err error
 	}
-	reports := experiments.Fan(*replicas, *parallel, func(i int) report {
+	reports := experiments.Fan(c.replicas, c.parallel, func(i int) report {
 		var b strings.Builder
-		err := runOne(sc, *seed+int64(i), &b)
+		err := runOne(*sc, sc.Seed+int64(i), &b)
 		return report{out: b.String(), err: err}
 	})
 	var firstErr error
 	for i, r := range reports {
-		fmt.Printf("===== replica %d/%d (seed %d) =====\n", i+1, *replicas, *seed+int64(i))
+		seed := sc.Seed + int64(i)
+		fmt.Printf("===== replica %d/%d (seed %d) =====\n", i+1, c.replicas, seed)
 		os.Stdout.WriteString(r.out)
 		if r.err != nil {
 			fmt.Printf("replica failed: %v\n", r.err)
 			if firstErr == nil {
-				firstErr = fmt.Errorf("replica %d (seed %d): %w", i+1, *seed+int64(i), r.err)
+				firstErr = fmt.Errorf("replica %d (seed %d): %w", i+1, seed, r.err)
 			}
 		}
 		fmt.Println()
@@ -250,7 +216,8 @@ func run(args []string) error {
 // runOne builds the scenario's system at the given seed, drives the
 // workload and writes the report to w.
 func runOne(sc scenario, seed int64, w io.Writer) error {
-	cfg := core.MCConfig{Seed: seed, Bearer: sc.bearer, WLANStandard: sc.wlan, CellStandard: sc.cell, DBReplicas: sc.dbReplicas, CC: sc.cc}
+	cfg := sc.MCConfig(seed)
+	cfg.DBReplicas = sc.dbReplicas
 	profiles := device.Profiles()
 	for i := 0; i < sc.clients; i++ {
 		cfg.Devices = append(cfg.Devices, profiles[i%len(profiles)])
@@ -261,19 +228,12 @@ func runOne(sc scenario, seed int64, w io.Writer) error {
 		return err
 	}
 	// Run through the sharded executor: the deployment is one partition,
-	// so sc.shards only sets how many worker lanes the window loop may
+	// so sc.Shards only sets how many worker lanes the window loop may
 	// use — the results cannot depend on it.
 	world := simnet.WrapNetwork(mc.Net)
-	var tl *obs.Timeline
-	if sc.timeline != "" || sc.slo != "" {
-		tl = obs.NewTimeline(sc.timelineInt)
-		tl.AttachSharded(world)
-	}
+	tl := sc.Instrument(world)
 	if sc.packetTrace {
 		mc.Net.SetTracer(simnet.NewTextTracer(os.Stderr))
-	}
-	if sc.traceFile != "" {
-		mc.Net.Tracer.EnableExport(sc.traceSample)
 	}
 	if err := apps.RegisterAll(mc.Host); err != nil {
 		return err
@@ -310,7 +270,7 @@ func runOne(sc scenario, seed int64, w io.Writer) error {
 				return fmt.Errorf("place call: %w", err)
 			}
 		}
-		if err := world.RunFor(10*time.Second, sc.shards); err != nil {
+		if err := world.RunFor(10*time.Second, sc.Shards); err != nil {
 			return err
 		}
 		if pending > 0 {
@@ -318,7 +278,7 @@ func runOne(sc scenario, seed int64, w io.Writer) error {
 		}
 	}
 
-	useWAP := strings.EqualFold(sc.middleware, "wap")
+	useWAP := sc.middleware == "wap"
 	var lats []time.Duration
 	okCount, errCount := 0, 0
 	for i := range mc.Clients {
@@ -348,7 +308,7 @@ func runOne(sc scenario, seed int64, w io.Writer) error {
 		}
 		round(0)
 	}
-	if err := world.RunFor(time.Hour, sc.shards); err != nil {
+	if err := world.RunFor(time.Hour, sc.Shards); err != nil {
 		return err
 	}
 
@@ -412,88 +372,8 @@ func runOne(sc scenario, seed int64, w io.Writer) error {
 		fmt.Fprintf(w, "  station %-24s battery %.4f%% used, free RAM %d MB\n",
 			cl.Station.Name()+":", (1-cl.Station.Battery())*100, cl.Station.FreeRAM()>>20)
 	}
-	if tl != nil {
-		if injector != nil {
-			tl.IngestFaults(injector)
-		}
-		var slo []obs.Interval
-		if sc.slo != "" {
-			rules, err := obs.ResolveRules(sc.slo)
-			if err != nil {
-				return err
-			}
-			slo = obs.Evaluate(tl, rules)
-			fmt.Fprintf(w, "\nSLO verdicts (%d rules, %d violation intervals):\n", len(rules), len(slo))
-			if len(slo) == 0 {
-				fmt.Fprintln(w, "  all SLOs held")
-			}
-			for _, iv := range slo {
-				state := "resolved"
-				if !iv.Resolved {
-					state = "firing at end"
-				}
-				fmt.Fprintf(w, "  %-20s %-32s %8s .. %-8s (%s, %s)\n",
-					iv.Rule, iv.Series, iv.Start, iv.End, iv.End-iv.Start, state)
-			}
-		}
-		if sc.timeline != "" {
-			f, err := os.Create(sc.timeline)
-			if err != nil {
-				return err
-			}
-			if err := obs.WriteJSON(f, tl, slo); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			samples := 0
-			for _, ws := range tl.Worlds() {
-				if s := ws.Samples(); s > samples {
-					samples = s
-				}
-			}
-			// The output path is not part of the deterministic report;
-			// keep stdout byte-comparable across same-seed runs.
-			fmt.Fprintf(os.Stderr, "timeline: %d samples at %s -> %s\n", samples, tl.Interval(), sc.timeline)
-		}
+	if tl != nil && injector != nil {
+		tl.IngestFaults(injector)
 	}
-	if sc.traceFile != "" {
-		spans := mc.Net.Tracer.Spans()
-		f, err := os.Create(sc.traceFile)
-		if err != nil {
-			return err
-		}
-		if err := trace.WritePerfetto(f, spans); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		bds := trace.Analyze(spans)
-		fmt.Fprintf(w, "\ntrace: %d spans, %d sampled transactions -> %s\n",
-			len(spans), len(bds), sc.traceFile)
-		if err := trace.WriteTable(w, bds); err != nil {
-			return err
-		}
-	}
-	if sc.metrics {
-		snap := mc.Metrics().Snapshot()
-		switch sc.metricsFmt {
-		case "csv":
-			fmt.Fprintf(w, "\ntelemetry registry (%d metrics):\n", len(snap.Entries))
-			return snap.WriteCSV(w)
-		case "openmetrics":
-			// OpenMetrics expositions are self-delimited (# EOF), so no
-			// header line: the output can be piped straight to a scraper
-			// or to scripts/omlint.
-			return obs.WriteOpenMetrics(w, snap)
-		default:
-			fmt.Fprintf(w, "\ntelemetry registry (%d metrics):\n", len(snap.Entries))
-			return snap.WriteText(w)
-		}
-	}
-	return nil
+	return sc.Finish(w, world, tl, experiments.Tier{SLO: "default", Sampled: "transactions", TraceGap: true, Format: sc.metricsFmt})
 }

@@ -6,6 +6,8 @@ import (
 
 	"mcommerce/internal/cellular"
 	"mcommerce/internal/core"
+	"mcommerce/internal/experiments"
+	"mcommerce/internal/experiments/optionstest"
 	"mcommerce/internal/wireless"
 )
 
@@ -18,8 +20,8 @@ func TestRunSmallWLANScenario(t *testing.T) {
 func TestRunFaultedScenarioDeterministic(t *testing.T) {
 	sc := scenario{middleware: "wap", clients: 2, rounds: 2, faults: true}
 	std := wireless.IEEE80211b
-	sc.bearer = core.BearerWLAN
-	sc.wlan = std
+	sc.Bearer = core.BearerWLAN
+	sc.WLANStandard = std
 	var a, b strings.Builder
 	if err := runOne(sc, 1, &a); err != nil {
 		t.Fatalf("faulted run: %v", err)
@@ -43,12 +45,12 @@ func TestRunFaultedScenarioDeterministic(t *testing.T) {
 // change a byte of the report, including the telemetry dump.
 func TestRunShardsGolden(t *testing.T) {
 	std := wireless.IEEE80211b
-	base := scenario{middleware: "wap", clients: 2, rounds: 2, metrics: true,
-		bearer: core.BearerWLAN, wlan: std}
+	base := scenario{middleware: "wap", clients: 2, rounds: 2,
+		Options: experiments.Options{Metrics: true, Bearer: core.BearerWLAN, WLANStandard: std}}
 	var want string
 	for _, shards := range []int{1, 4} {
 		sc := base
-		sc.shards = shards
+		sc.Shards = shards
 		var b strings.Builder
 		if err := runOne(sc, 1, &b); err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
@@ -74,6 +76,10 @@ func TestRunRejectsBadInputs(t *testing.T) {
 		{"-bearer", "carrier-pigeon"},
 		{"-bearer", "wlan", "-wlan", "802.11zz"},
 		{"-bearer", "cellular", "-cell", "6g"},
+		{"-middleware", "bogus"},
+		{"-clients", "0"},
+		{"-clients", "-3"},
+		{"-rounds", "-1"},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {
@@ -150,4 +156,23 @@ func TestAnalogBearerFailsCleanly(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "place call") {
 		t.Errorf("AMPS scenario err = %v", err)
 	}
+}
+
+// TestFlagSurface pins every flag mcsim registers, with its default.
+func TestFlagSurface(t *testing.T) {
+	fs, _ := newFlagSet()
+	optionstest.Surface(t, fs, map[string]string{
+		"bearer": "wlan", "cc": "reno", "cell": "gprs", "clients": "5",
+		"cpuprofile": "", "db-replicas": "0", "faults": "false",
+		"memprofile": "", "metrics": "false", "metrics-format": "text",
+		"middleware": "wap", "mutexprofile": "", "packet-trace": "false",
+		"parallel": "0", "replicas": "1", "rounds": "10", "seed": "1",
+		"shards": "1", "slo": "", "timeline": "", "timeline-interval": "100ms",
+		"trace": "", "trace-sample": "1", "wlan": "802.11b",
+	})
+}
+
+func TestSharedFlagErrors(t *testing.T) {
+	fs, _ := newFlagSet()
+	optionstest.RejectsBadValues(t, fs, run)
 }

@@ -18,9 +18,9 @@ import (
 // Ablations measures the design choices DESIGN.md §4 calls out: the WMLC
 // binary encoding, 3G QoS scheduling, WTLS-lite security overhead, and
 // disconnected operation with the embedded database.
-func Ablations(seed int64) []*Result {
+func Ablations(seed int64, opts Options) []*Result {
 	return []*Result{
-		ablateWMLC(seed),
+		ablateWMLC(seed, opts.CC),
 		ablateQoS(seed),
 		ablateSecurity(seed),
 		ablateSync(seed),
@@ -90,14 +90,14 @@ func ablateSAR(seed int64) *Result {
 
 // ablateWMLC compares the WAP gateway with and without binary deck
 // encoding on a slow bearer.
-func ablateWMLC(seed int64) *Result {
+func ablateWMLC(seed int64, cc string) *Result {
 	res := newResult("Ablation A1", "WML binary encoding (WMLC) on the air interface",
 		"encoding", "payload bytes", "first-page latency")
 	run := func(binary bool) (int, time.Duration) {
 		cfg := wap.DefaultGatewayConfig()
 		cfg.BinaryEncoding = binary
 		mc, err := core.BuildMC(core.MCConfig{
-			Seed: seed, WAPConfig: &cfg, DisableIMode: true, CC: CC,
+			Seed: seed, WAPConfig: &cfg, DisableIMode: true, CC: cc,
 			Devices: []device.Profile{device.PalmI705},
 			// A slow bearer makes byte savings visible: Bluetooth-class.
 			WLANStandard: wireless.Bluetooth,

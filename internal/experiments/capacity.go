@@ -16,7 +16,7 @@ import (
 // WLAN absorbs the populations easily (throughput scales with users, tail
 // flat), while GPRS's ~100 kbps cell congests (tail latency blows up and
 // throughput stops scaling).
-func Capacity(seed int64) *Result {
+func Capacity(seed int64, opts Options) *Result {
 	res := newResult("E-CAP", "System capacity: mixed workload vs user population",
 		"bearer", "users", "ops", "throughput", "p95 latency", "download p95")
 
@@ -25,8 +25,8 @@ func Capacity(seed int64) *Result {
 		cfg    core.MCConfig
 	}
 	bearers := []point{
-		{"802.11b WLAN", core.MCConfig{Seed: seed, Bearer: core.BearerWLAN, CC: CC}},
-		{"GPRS cell", core.MCConfig{Seed: seed, Bearer: core.BearerCellular, CellStandard: cellular.GPRS, CC: CC}},
+		{"802.11b WLAN", core.MCConfig{Seed: seed, Bearer: core.BearerWLAN, CC: opts.CC}},
+		{"GPRS cell", core.MCConfig{Seed: seed, Bearer: core.BearerCellular, CellStandard: cellular.GPRS, CC: opts.CC}},
 	}
 	for _, b := range bearers {
 		for _, users := range []int{2, 10, 25} {

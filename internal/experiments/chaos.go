@@ -137,7 +137,7 @@ func (r *chaosReport) amplification() float64 {
 // per-attempt timeouts, stale-cache degradation, and application-level
 // retry with session re-establishment. Fragile disables all of them
 // (single-shot WTP included).
-func chaosRun(seed int64, clients, rounds int, mode chaosMode) (*chaosReport, error) {
+func chaosRun(seed int64, opts *Options, clients, rounds int, mode chaosMode) (*chaosReport, error) {
 	wcfg := wap.DefaultGatewayConfig()
 	if mode.resilient {
 		wcfg.CacheTTL = 2 * time.Second
@@ -152,7 +152,7 @@ func chaosRun(seed int64, clients, rounds int, mode chaosMode) (*chaosReport, er
 		wcfg.WTP.MaxRetries = -1 // single shot: a lost PDU is a lost transaction
 	}
 
-	mc, err := core.BuildMC(core.MCConfig{Seed: seed, WAPConfig: &wcfg, DisableIMode: true, CC: CC})
+	mc, err := core.BuildMC(core.MCConfig{Seed: seed, WAPConfig: &wcfg, DisableIMode: true, CC: opts.CC})
 	if err != nil {
 		return nil, err
 	}
@@ -265,7 +265,7 @@ func chaosRun(seed int64, clients, rounds int, mode chaosMode) (*chaosReport, er
 	// Sample the world registry on the simulation clock for the whole
 	// run; the sampler quiesces with the workload, so the tail costs
 	// nothing once the last transaction drains.
-	tl := obs.NewTimeline(TimelineInterval)
+	tl := obs.NewTimeline(opts.interval())
 	tl.Attach("", mc.Net)
 
 	// Generous tail: the slowest resilient transaction (WTP window + app
@@ -306,7 +306,7 @@ func percentileDur(sorted []time.Duration, q float64) time.Duration {
 // retries. The paper's claim under test: an unreliable substrate is
 // survivable at the middleware and application layers, at a bounded cost
 // in latency and retry traffic.
-func Chaos(seed int64) []*Result {
+func Chaos(seed int64, opts Options) []*Result {
 	const clients, rounds = 5, 12
 	res := newResult("E-CHAOS", "Fault injection: transaction completion under outages",
 		"mode", "transactions", "completed", "completion", "p50 latency", "p99 latency", "retries/tx", "stale serves", "faults applied", "SLO violations")
@@ -320,7 +320,7 @@ func Chaos(seed int64) []*Result {
 	}
 	var logged []faults.FiredEvent
 	for _, m := range modes {
-		rep, err := chaosRun(seed, clients, rounds, m)
+		rep, err := chaosRun(seed, &opts, clients, rounds, m)
 		if err != nil {
 			res.AddRow(m.name, "error: "+err.Error(), "-", "-", "-", "-", "-", "-", "-", "-")
 			cp.AddRow(m.name, "error: "+err.Error(), "-", "-", "-", "-", "-", "-")
@@ -362,7 +362,7 @@ func Chaos(seed int64) []*Result {
 		res.Set(m.name+"/faults", float64(rep.faultStats.Total()))
 		res.AttachMetrics(m.name, rep.telemetry)
 		res.AttachSLO(m.name, rep.slo)
-		writeTimeline(res, timelineTag("chaos", m.name), rep.timeline, rep.slo)
+		opts.writeTimeline(res, timelineTag("chaos", m.name), rep.timeline, rep.slo)
 		if m.faulted && len(logged) == 0 {
 			logged = rep.faultEvents
 		}

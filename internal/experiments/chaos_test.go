@@ -8,7 +8,7 @@ import (
 // the default fault plan the resilient configuration completes at least
 // 95% of transactions, and disabling the policies costs measurably more.
 func TestChaosResilienceThresholds(t *testing.T) {
-	res := Chaos(1)[0]
+	res := Chaos(1, Options{})[0]
 
 	baseline := res.Get("no faults, resilient/completion")
 	resilient := res.Get("faults, resilient/completion")
@@ -37,8 +37,8 @@ func TestChaosResilienceThresholds(t *testing.T) {
 // TestChaosDeterministic pins byte-identical reports for same-seed runs —
 // the subsystem's core replay guarantee, end to end.
 func TestChaosDeterministic(t *testing.T) {
-	a := Chaos(2)[0].String()
-	b := Chaos(2)[0].String()
+	a := Chaos(2, Options{})[0].String()
+	b := Chaos(2, Options{})[0].String()
 	if a != b {
 		t.Errorf("same-seed chaos reports differ:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", a, b)
 	}

@@ -1,9 +1,10 @@
 // Package experiments regenerates every figure and table of the paper from
 // the running system, plus the prose claims of Section 5.2 and the design
 // ablations DESIGN.md calls out. Each experiment is a pure function from a
-// deterministic seed to a Result (a printable table plus structured
-// values), shared by the cmd/mcbench CLI and the repository's
-// testing.B benchmarks.
+// deterministic seed (plus, where it reads -cc, -shards or -timeline, the
+// run Options) to a Result (a printable table plus structured values),
+// shared by the cmd/mcbench CLI and the repository's testing.B
+// benchmarks. Options is also the flag surface all three CLIs share.
 //
 // Experiment index (see DESIGN.md §3 for the full mapping):
 //

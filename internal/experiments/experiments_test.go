@@ -24,7 +24,7 @@ func TestFigure1Shape(t *testing.T) {
 }
 
 func TestFigure2Shape(t *testing.T) {
-	res := Figure2(1)
+	res := Figure2(1, Options{})
 	if res.Get("wap_ok") != 1 || res.Get("imode_ok") != 1 {
 		t.Errorf("transactions: wap=%v imode=%v", res.Get("wap_ok"), res.Get("imode_ok"))
 	}
@@ -38,7 +38,7 @@ func TestFigure2Shape(t *testing.T) {
 }
 
 func TestTable1AllCategoriesComplete(t *testing.T) {
-	res := Table1(1)
+	res := Table1(1, Options{})
 	if len(res.Rows) != 8 {
 		t.Fatalf("rows = %d, want 8", len(res.Rows))
 	}
@@ -61,7 +61,7 @@ func TestTable1AllCategoriesComplete(t *testing.T) {
 }
 
 func TestTable2RenderScalesWithCPU(t *testing.T) {
-	res := Table2(1)
+	res := Table2(1, Options{})
 	// Faster CPU -> faster render, per Table 2's processor column.
 	order := []string{"Toshiba E740", "Compaq iPAQ H3870", "SONY Clie PEG-NR70V", "Nokia 9290 Communicator", "Palm i705"}
 	for i := 1; i < len(order); i++ {
@@ -77,7 +77,7 @@ func TestTable2RenderScalesWithCPU(t *testing.T) {
 }
 
 func TestTable3MiddlewareComparison(t *testing.T) {
-	res := Table3(1)
+	res := Table3(1, Options{})
 	// WAP's first transaction pays the session handshake; i-mode is
 	// always-on.
 	if res.Get("wap_first_ms") <= res.Get("imode_first_ms") {
@@ -139,7 +139,7 @@ func TestTable5CellularOrderings(t *testing.T) {
 }
 
 func TestTCPVariantClaims(t *testing.T) {
-	results := TCPVariants(1)
+	results := TCPVariants(1, Options{})
 	if len(results) != 2 {
 		t.Fatalf("results = %d", len(results))
 	}
@@ -175,7 +175,7 @@ func TestTCPVariantClaims(t *testing.T) {
 }
 
 func TestTCPFaultPlanClaims(t *testing.T) {
-	results := TCPFaultPlan(1)
+	results := TCPFaultPlan(1, Options{})
 	if len(results) != 1 {
 		t.Fatalf("results = %d", len(results))
 	}
@@ -265,7 +265,7 @@ func TestMobileIPClaims(t *testing.T) {
 }
 
 func TestAblationClaims(t *testing.T) {
-	results := Ablations(1)
+	results := Ablations(1, Options{})
 	if len(results) != 5 {
 		t.Fatalf("ablations = %d", len(results))
 	}
@@ -301,7 +301,7 @@ func TestAblationClaims(t *testing.T) {
 }
 
 func TestStreamingCrossoverAtMediaRate(t *testing.T) {
-	res := Streaming(1)
+	res := Streaming(1, Options{})
 	// Bearers below the 128 kbps media rate stall; bearers above play
 	// cleanly — the crossover falls between GPRS and EDGE.
 	for _, slow := range []string{"CDMA", "GPRS"} {
@@ -328,7 +328,7 @@ func TestStreamingCrossoverAtMediaRate(t *testing.T) {
 }
 
 func TestCapacitySaturationShape(t *testing.T) {
-	res := Capacity(1)
+	res := Capacity(1, Options{})
 	// WLAN scales: throughput grows with users, p95 stays in the same
 	// ballpark.
 	w2 := res.Get("802.11b WLAN/2/throughput")
@@ -356,7 +356,7 @@ func TestCapacitySaturationShape(t *testing.T) {
 }
 
 func TestRegistryCoversAllExperiments(t *testing.T) {
-	reg := Registry()
+	reg := Registry(Options{})
 	for _, name := range Names() {
 		if _, ok := reg[name]; !ok {
 			t.Errorf("registry missing %q", name)

@@ -70,11 +70,11 @@ func Figure1(seed int64) *Result {
 // six-component MC system, validated, with one transaction through each
 // middleware path exercising the full chain
 // station→middleware→wireless→wired→host.
-func Figure2(seed int64) *Result {
+func Figure2(seed int64, opts Options) *Result {
 	res := newResult("Figure 2", "A mobile commerce system structure (6 components)",
 		"component kind", "instance")
 
-	mc, err := core.BuildMC(core.MCConfig{Seed: seed, CC: CC})
+	mc, err := core.BuildMC(core.MCConfig{Seed: seed, CC: opts.CC})
 	if err != nil {
 		res.Note("build failed: %v", err)
 		return res

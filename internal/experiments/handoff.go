@@ -44,7 +44,7 @@ func HandoffSweep(seed int64) *Result {
 // handoffRun transfers size bytes with a 400 ms blackout every period
 // (period 0 means no blackouts) and returns completion time.
 func handoffRun(seed int64, period time.Duration, size int, signal bool) time.Duration {
-	p := newTCPPath(seed, 0)
+	p := newTCPPath(seed, 0, "")
 	var mobileConn *mtcp.Conn
 	got := 0
 	var doneAt time.Duration

@@ -2,25 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"os"
+	"io"
 	"path/filepath"
 	"strings"
 	"time"
 
 	"mcommerce/internal/obs"
 )
-
-// TimelineFile, when non-empty, makes the experiments that carry
-// timelines (chaos, syncstorm, tcpfault) export their sampled telemetry
-// as JSON: the tag naming the run is inserted before the extension
-// ("out.json" → "out.chaos-faults-resilient.json"). Set by mcbench
-// -timeline.
-var TimelineFile string
-
-// TimelineInterval is the sampling interval those experiments use.
-// 250ms resolves the default chaos plan's shortest outage (1.5s) into
-// six samples while keeping a 4-minute run under a thousand windows.
-var TimelineInterval = 250 * time.Millisecond
 
 // timelineTag turns a mode name into a filename-safe tag.
 func timelineTag(parts ...string) string {
@@ -42,22 +30,16 @@ func timelineTag(parts ...string) string {
 	return strings.Trim(tag, "-")
 }
 
-// writeTimeline exports one run's timeline next to TimelineFile,
-// tagged. A write failure is reported on the result rather than
-// aborting the experiment.
-func writeTimeline(res *Result, tag string, tl *obs.Timeline, slo []obs.Interval) {
-	if TimelineFile == "" {
+// writeTimeline exports one run's timeline next to o.Timeline, tagged.
+// A write failure is reported on the result rather than aborting the
+// experiment.
+func (o *Options) writeTimeline(res *Result, tag string, tl *obs.Timeline, slo []obs.Interval) {
+	if o.Timeline == "" {
 		return
 	}
-	ext := filepath.Ext(TimelineFile)
-	path := strings.TrimSuffix(TimelineFile, ext) + "." + tag + ext
-	f, err := os.Create(path)
-	if err == nil {
-		err = obs.WriteJSON(f, tl, slo)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
+	ext := filepath.Ext(o.Timeline)
+	path := strings.TrimSuffix(o.Timeline, ext) + "." + tag + ext
+	err := WriteFile(path, func(f io.Writer) error { return obs.WriteJSON(f, tl, slo) })
 	if err != nil {
 		res.Note("timeline export failed: %v", err)
 		return

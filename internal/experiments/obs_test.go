@@ -86,7 +86,7 @@ func TestScaleTimelineIntervalSweep(t *testing.T) {
 // interval overlaps an injected fault window (with slack for retry
 // backoff draining after the heal), and the no-fault run stays silent.
 func TestChaosSLOFiringsAlignWithFaultWindows(t *testing.T) {
-	quiet, err := chaosRun(1, 5, 12, chaosMode{"no faults, resilient", false, true})
+	quiet, err := chaosRun(1, &Options{}, 5, 12, chaosMode{"no faults, resilient", false, true})
 	if err != nil {
 		t.Fatalf("chaosRun(no faults): %v", err)
 	}
@@ -94,7 +94,7 @@ func TestChaosSLOFiringsAlignWithFaultWindows(t *testing.T) {
 		t.Fatalf("no-fault run produced %d SLO violations, want 0: %+v", len(quiet.slo), quiet.slo)
 	}
 
-	rep, err := chaosRun(1, 5, 12, chaosMode{"faults, resilient", true, true})
+	rep, err := chaosRun(1, &Options{}, 5, 12, chaosMode{"faults, resilient", true, true})
 	if err != nil {
 		t.Fatalf("chaosRun(faults): %v", err)
 	}
@@ -151,7 +151,7 @@ func TestChaosSLOFiringsAlignWithFaultWindows(t *testing.T) {
 	}
 
 	// Determinism of the verdicts themselves: same seed, same intervals.
-	again, err := chaosRun(1, 5, 12, chaosMode{"faults, resilient", true, true})
+	again, err := chaosRun(1, &Options{}, 5, 12, chaosMode{"faults, resilient", true, true})
 	if err != nil {
 		t.Fatalf("chaosRun(faults) rerun: %v", err)
 	}

@@ -12,7 +12,8 @@ import (
 // contention (or any other hot path) is diagnosable with pprof without
 // each command growing its own boilerplate.
 
-// Profiles holds the flag values registered by AddProfileFlags.
+// Profiles holds the -cpuprofile, -memprofile and -mutexprofile flag
+// values (registered by Options.AddFlags).
 type Profiles struct {
 	CPU   string
 	Mem   string
@@ -21,14 +22,10 @@ type Profiles struct {
 	cpuFile *os.File
 }
 
-// AddProfileFlags registers -cpuprofile, -memprofile and -mutexprofile
-// on fs and returns the value holder to pass to Start/Stop.
-func AddProfileFlags(fs *flag.FlagSet) *Profiles {
-	p := &Profiles{}
+func (p *Profiles) addFlags(fs *flag.FlagSet) {
 	fs.StringVar(&p.CPU, "cpuprofile", "", "write a CPU profile to `file`")
 	fs.StringVar(&p.Mem, "memprofile", "", "write a heap profile to `file` on exit")
 	fs.StringVar(&p.Mutex, "mutexprofile", "", "write a mutex-contention profile to `file` on exit")
-	return p
 }
 
 // Start begins the requested profiles. It must be paired with Stop

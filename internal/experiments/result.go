@@ -265,26 +265,26 @@ func median(ds []time.Duration) time.Duration {
 }
 
 // Registry maps experiment names to their runners, for the CLI.
-func Registry() map[string]func(seed int64) []*Result {
+func Registry(opts Options) map[string]func(seed int64) []*Result {
 	return map[string]func(seed int64) []*Result{
 		"fig1":      func(seed int64) []*Result { return []*Result{Figure1(seed)} },
-		"fig2":      func(seed int64) []*Result { return []*Result{Figure2(seed)} },
-		"table1":    func(seed int64) []*Result { return []*Result{Table1(seed)} },
-		"table2":    func(seed int64) []*Result { return []*Result{Table2(seed)} },
-		"table3":    func(seed int64) []*Result { return []*Result{Table3(seed)} },
+		"fig2":      func(seed int64) []*Result { return []*Result{Figure2(seed, opts)} },
+		"table1":    func(seed int64) []*Result { return []*Result{Table1(seed, opts)} },
+		"table2":    func(seed int64) []*Result { return []*Result{Table2(seed, opts)} },
+		"table3":    func(seed int64) []*Result { return []*Result{Table3(seed, opts)} },
 		"table4":    func(seed int64) []*Result { return []*Result{Table4(seed)} },
 		"table5":    func(seed int64) []*Result { return []*Result{Table5(seed)} },
-		"tcp":       func(seed int64) []*Result { return TCPVariants(seed) },
-		"tcpfault":  TCPFaultPlan,
+		"tcp":       func(seed int64) []*Result { return TCPVariants(seed, opts) },
+		"tcpfault":  func(seed int64) []*Result { return TCPFaultPlan(seed, opts) },
 		"handoff":   func(seed int64) []*Result { return []*Result{HandoffSweep(seed)} },
 		"adhoc":     func(seed int64) []*Result { return []*Result{AdHocHops(seed)} },
 		"mip":       func(seed int64) []*Result { return []*Result{MobileIPRoaming(seed)} },
-		"stream":    func(seed int64) []*Result { return []*Result{Streaming(seed)} },
-		"cap":       func(seed int64) []*Result { return []*Result{Capacity(seed)} },
-		"ablate":    Ablations,
-		"chaos":     Chaos,
-		"scale":     func(seed int64) []*Result { return []*Result{Scale(seed)} },
-		"syncstorm": func(seed int64) []*Result { return []*Result{SyncStorm(seed)} },
+		"stream":    func(seed int64) []*Result { return []*Result{Streaming(seed, opts)} },
+		"cap":       func(seed int64) []*Result { return []*Result{Capacity(seed, opts)} },
+		"ablate":    func(seed int64) []*Result { return Ablations(seed, opts) },
+		"chaos":     func(seed int64) []*Result { return Chaos(seed, opts) },
+		"scale":     func(seed int64) []*Result { return []*Result{Scale(seed, opts)} },
+		"syncstorm": func(seed int64) []*Result { return []*Result{SyncStorm(seed, opts)} },
 	}
 }
 

@@ -71,9 +71,10 @@ func RunTasks(tasks []Task, parallel int) [][]*Result {
 }
 
 // RegistryTasks builds runner tasks for the named registry experiments at
-// the given seed, in the order given. Names must exist in Registry.
-func RegistryTasks(names []string, seed int64) []Task {
-	registry := Registry()
+// the given seed and options, in the order given. Names must exist in
+// Registry.
+func RegistryTasks(names []string, seed int64, opts Options) []Task {
+	registry := Registry(opts)
 	tasks := make([]Task, len(names))
 	for i, name := range names {
 		tasks[i] = Task{Name: name, Seed: seed, Run: registry[name]}

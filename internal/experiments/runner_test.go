@@ -25,9 +25,9 @@ func renderAll(batches [][]*Result) string {
 // from a shared RNG.
 func TestRunnerMatchesSerial(t *testing.T) {
 	tasks := []Task{
-		{Name: "fig2", Seed: 7, Run: func(seed int64) []*Result { return []*Result{Figure2(seed)} }},
+		{Name: "fig2", Seed: 7, Run: func(seed int64) []*Result { return []*Result{Figure2(seed, Options{})} }},
 		{Name: "table4", Seed: 7, Run: func(seed int64) []*Result { return []*Result{Table4(seed)} }},
-		{Name: "tcp", Seed: 7, Run: TCPVariants},
+		{Name: "tcp", Seed: 7, Run: func(seed int64) []*Result { return TCPVariants(seed, Options{}) }},
 	}
 
 	serial := renderAll(RunTasks(tasks, 1))
@@ -62,7 +62,7 @@ func TestFanOrderAndCoverage(t *testing.T) {
 
 // TestRegistryTasksSeedSweep covers the task-building helpers.
 func TestRegistryTasksSeedSweep(t *testing.T) {
-	tasks := RegistryTasks([]string{"fig2", "table1"}, 3)
+	tasks := RegistryTasks([]string{"fig2", "table1"}, 3, Options{})
 	if len(tasks) != 2 || tasks[0].Name != "fig2" || tasks[1].Name != "table1" {
 		t.Fatalf("unexpected registry tasks: %+v", tasks)
 	}

@@ -18,12 +18,6 @@ import (
 // the next cluster's host, keeping the backbone (and the cross-shard
 // machinery) under continuous load.
 
-// ScaleWorkers is the worker-lane count the registry's "scale"
-// experiment runs with. Output is byte-identical for any value — it
-// only changes how many goroutines execute the windows (mcbench -shards
-// sets it).
-var ScaleWorkers = 1
-
 // Link profiles of the scale topology. The uplink delay sits below the
 // planner's contraction floor on purpose; the backbone delay is the
 // conservative window.
@@ -319,7 +313,7 @@ type ScaleReport struct {
 
 // Scale is the registry experiment: a modest population demonstrating
 // the sharded engine end to end, with per-cluster op totals.
-func Scale(seed int64) *Result {
+func Scale(seed int64, opts Options) *Result {
 	cfg := ScaleConfig{
 		Seed:            seed,
 		Gateways:        4,
@@ -327,7 +321,7 @@ func Scale(seed int64) *Result {
 		StationsPerCell: 50,
 		ThinkMean:       500 * time.Millisecond,
 		Duration:        10 * time.Second,
-		Workers:         ScaleWorkers,
+		Workers:         opts.Shards,
 	}
 	r := newResult("scale", "sharded scale: virtual-station flows across gateway clusters",
 		"cluster", "stations", "ops", "timeouts", "served")

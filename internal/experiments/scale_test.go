@@ -58,13 +58,9 @@ func TestScaleWorkerInvariance(t *testing.T) {
 // TestScaleRegistryWorkerInvariance pins the same contract on the
 // registry experiment itself: mcbench -shards N must not change output.
 func TestScaleRegistryWorkerInvariance(t *testing.T) {
-	old := ScaleWorkers
-	defer func() { ScaleWorkers = old }()
-	ScaleWorkers = 1
-	want := Scale(3).String()
-	ScaleWorkers = 4
-	if got := Scale(3).String(); got != want {
-		t.Fatalf("scale experiment output depends on ScaleWorkers:\n--- workers=1\n%s\n--- workers=4\n%s", want, got)
+	want := Scale(3, Options{Shards: 1}).String()
+	if got := Scale(3, Options{Shards: 4}).String(); got != want {
+		t.Fatalf("scale experiment output depends on Options.Shards:\n--- workers=1\n%s\n--- workers=4\n%s", want, got)
 	}
 }
 

@@ -15,12 +15,12 @@ import (
 // playback quality: the same 128 kbps clip is streamed over each
 // packet-switched cellular generation and judged by startup delay and
 // rebuffering.
-func Streaming(seed int64) *Result {
+func Streaming(seed int64, opts Options) *Result {
 	res := newResult("E-STREAM", "Streaming a 128 kbps clip (900 KiB) per cellular bearer",
 		"bearer", "nominal rate", "startup", "stalls", "time frozen", "verdict")
 
 	for _, std := range []cellular.Standard{cellular.CDMA, cellular.GPRS, cellular.EDGE, cellular.WCDMA} {
-		st, ok := streamRun(seed, std)
+		st, ok := streamRun(seed, opts.CC, std)
 		if !ok {
 			res.AddRow(std.Name, std.DataRate.String(), "-", "-", "-", "did not complete")
 			res.Set(std.Name+"/finished", 0)
@@ -44,9 +44,9 @@ func Streaming(seed int64) *Result {
 }
 
 // streamRun plays the trailer over one standard.
-func streamRun(seed int64, std cellular.Standard) (apps.StreamStats, bool) {
+func streamRun(seed int64, cc string, std cellular.Standard) (apps.StreamStats, bool) {
 	mc, err := core.BuildMC(core.MCConfig{
-		Seed: seed, Bearer: core.BearerCellular, CellStandard: std, CC: CC,
+		Seed: seed, Bearer: core.BearerCellular, CellStandard: std, CC: cc,
 		Devices: []device.Profile{device.CompaqIPAQH3870},
 	})
 	if err != nil {

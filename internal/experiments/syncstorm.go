@@ -24,11 +24,6 @@ import (
 // zero lost updates and a byte-identical converged tier per seed at any
 // worker count; the fragile rollback-on-timeout baseline loses writes.
 
-// SyncStormWorkers is the worker-lane count the registry's "syncstorm"
-// experiment runs with (mcbench -shards sets it). Output is byte-identical
-// for any value.
-var SyncStormWorkers = 1
-
 var (
 	stormUplink   = simnet.LinkConfig{Rate: 2 * simnet.Mbps, Delay: 20 * time.Millisecond, QueueLen: 64}
 	stormBackbone = simnet.LinkConfig{Rate: 1 * simnet.Gbps, Delay: 10 * time.Millisecond, QueueLen: 1024}
@@ -385,7 +380,7 @@ func (sw *SyncStormWorld) Digest() string {
 // LWW tier, a resilient server-wins tier, and the fragile
 // rollback-on-timeout baseline. The resilient rows must report zero lost
 // updates; the fragile row must not.
-func SyncStorm(seed int64) *Result {
+func SyncStorm(seed int64, opts Options) *Result {
 	r := newResult("syncstorm",
 		"disconnected-device sync under chaos: resilient policies vs fragile baseline",
 		"tier", "devices", "writes", "confirmed", "conflicts", "timeouts", "lost", "converged", "SLO violations")
@@ -401,13 +396,13 @@ func SyncStorm(seed int64) *Result {
 	for _, row := range rows {
 		sw, err := BuildSyncStorm(SyncStormConfig{
 			Seed: seed, Policy: row.policy, Fragile: row.fragile,
-			Workers: SyncStormWorkers,
+			Workers: opts.Shards,
 		})
 		if err != nil {
 			r.Note("%s: build failed: %v", row.name, err)
 			continue
 		}
-		tl := obs.NewTimeline(TimelineInterval)
+		tl := obs.NewTimeline(opts.interval())
 		tl.AttachSharded(sw.World)
 		rep, err := sw.Run()
 		if err != nil {
@@ -419,7 +414,7 @@ func SyncStorm(seed int64) *Result {
 		}
 		slo := obs.Evaluate(tl, obs.DefaultRules("syncstorm"))
 		r.AttachSLO(row.name, slo)
-		writeTimeline(r, timelineTag("syncstorm", row.name), tl, slo)
+		opts.writeTimeline(r, timelineTag("syncstorm", row.name), tl, slo)
 		conv := "no"
 		if rep.Converged {
 			conv = fmt.Sprintf("+%v", rep.ConvergeAfter)

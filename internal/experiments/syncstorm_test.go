@@ -96,7 +96,7 @@ func TestSyncStormDeterministicAcrossWorkers(t *testing.T) {
 // TestSyncStormRegistry runs the registry entry end to end and checks the
 // machine-readable scoreboard.
 func TestSyncStormRegistry(t *testing.T) {
-	r := SyncStorm(5)
+	r := SyncStorm(5, Options{})
 	if len(r.Rows) != 3 {
 		t.Fatalf("rows = %d, want 3:\n%s", len(r.Rows), r)
 	}

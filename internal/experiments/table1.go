@@ -19,13 +19,13 @@ type table1Workload func(f device.Fetcher, origin simnet.Addr, ops *int, done fu
 // of Table 1 runs a representative workload end-to-end from a mobile
 // station on the built MC system, and the table reports the category
 // metadata with measured transaction counts and latency.
-func Table1(seed int64) *Result {
+func Table1(seed int64, opts Options) *Result {
 	res := newResult("Table 1", "Major mobile commerce applications",
 		"category", "major applications", "clients", "ops", "avg latency")
 
 	mc, err := core.BuildMC(core.MCConfig{
 		Seed:    seed,
-		CC:      CC,
+		CC:      opts.CC,
 		Devices: []device.Profile{device.CompaqIPAQH3870, device.ToshibaE740},
 	})
 	if err != nil {

@@ -12,12 +12,12 @@ import (
 // each measured live — the same storefront page is browsed from every
 // profile over i-mode, so the processor column manifests as render time,
 // the RAM column as memory headroom, and the OS column as battery drain.
-func Table2(seed int64) *Result {
+func Table2(seed int64, opts Options) *Result {
 	res := newResult("Table 2", "Some major mobile stations",
 		"vendor & device", "operating system", "processor", "RAM/ROM",
 		"render", "battery used", "screenfuls")
 
-	mc, err := core.BuildMC(core.MCConfig{Seed: seed, CC: CC}) // all five Table 2 devices
+	mc, err := core.BuildMC(core.MCConfig{Seed: seed, CC: opts.CC}) // all five Table 2 devices
 	if err != nil {
 		res.Note("build failed: %v", err)
 		return res

@@ -14,7 +14,7 @@ import (
 // first-transaction latency (WAP pays the WSP session handshake; i-mode is
 // always-on), repeat-transaction latency, and payload bytes on the air
 // (WMLC binary encoding vs filtered cHTML).
-func Table3(seed int64) *Result {
+func Table3(seed int64, opts Options) *Result {
 	res := newResult("Table 3", "Two major kinds of mobile middleware",
 		"", "WAP", "i-mode")
 
@@ -27,7 +27,7 @@ func Table3(seed int64) *Result {
 
 	mc, err := core.BuildMC(core.MCConfig{
 		Seed:    seed,
-		CC:      CC,
+		CC:      opts.CC,
 		Devices: []device.Profile{device.CompaqIPAQH3870, device.CompaqIPAQH3870},
 	})
 	if err != nil {

@@ -10,20 +10,6 @@ import (
 	"mcommerce/internal/simnet"
 )
 
-// CC is the congestion control algorithm experiment worlds select on
-// their TCP endpoints (mcbench -cc sets it; empty means Reno). Output
-// stays deterministic per seed for either choice.
-var CC string
-
-// ccOpts stamps the registry-selected congestion control onto opts,
-// keeping any explicit per-experiment choice.
-func ccOpts(opts mtcp.Options) mtcp.Options {
-	if opts.CC == "" {
-		opts.CC = CC
-	}
-	return opts
-}
-
 // tcpPath is the canonical mobile transport testbed:
 // fixed --wired 10 Mbps/20 ms-- gateway --"wireless" 2 Mbps/2 ms, lossy-- mobile.
 type tcpPath struct {
@@ -31,9 +17,19 @@ type tcpPath struct {
 	fixed, gateway, mobile *simnet.Node
 	wired, wireless        *simnet.Link
 	fs, gs, ms             *mtcp.Stack
+	cc                     string
 }
 
-func newTCPPath(seed int64, wirelessLoss float64) *tcpPath {
+// tcp stamps the run's congestion control onto opts, keeping any
+// explicit per-experiment choice.
+func (p *tcpPath) tcp(opts mtcp.Options) mtcp.Options {
+	if opts.CC == "" {
+		opts.CC = p.cc
+	}
+	return opts
+}
+
+func newTCPPath(seed int64, wirelessLoss float64, cc string) *tcpPath {
 	net := simnet.NewNetwork(simnet.NewScheduler(seed))
 	fixed := net.NewNode("fixed")
 	gw := net.NewNode("gateway")
@@ -50,6 +46,7 @@ func newTCPPath(seed int64, wirelessLoss float64) *tcpPath {
 		fs: mtcp.MustNewStack(fixed),
 		gs: mtcp.MustNewStack(gw),
 		ms: mtcp.MustNewStack(mob),
+		cc: cc,
 	}
 }
 
@@ -64,8 +61,8 @@ type tcpOutcome struct {
 
 // runVariant pushes size bytes fixed→mobile under the named variant and
 // measures the fixed sender's behaviour.
-func runVariant(seed int64, variant string, loss float64, size int, horizon time.Duration) tcpOutcome {
-	p := newTCPPath(seed, loss)
+func runVariant(seed int64, cc, variant string, loss float64, size int, horizon time.Duration) tcpOutcome {
+	p := newTCPPath(seed, loss, cc)
 	var out tcpOutcome
 
 	var fixedConn *mtcp.Conn
@@ -81,7 +78,7 @@ func runVariant(seed int64, variant string, loss float64, size int, horizon time
 
 	switch variant {
 	case "TCP (end-to-end Reno)":
-		if err := p.ms.Listen(80, ccOpts(mtcp.Options{}), func(c *mtcp.Conn) { c.OnData(onData) }); err != nil {
+		if err := p.ms.Listen(80, p.tcp(mtcp.Options{}), func(c *mtcp.Conn) { c.OnData(onData) }); err != nil {
 			return out
 		}
 		fixedConn = p.fs.Dial(simnet.Addr{Node: p.mobile.ID, Port: 80}, mtcp.Options{}, func(c *mtcp.Conn, err error) {
@@ -90,7 +87,7 @@ func runVariant(seed int64, variant string, loss float64, size int, horizon time
 			}
 		})
 	case "TCP (end-to-end NewReno)":
-		if err := p.ms.Listen(80, ccOpts(mtcp.Options{}), func(c *mtcp.Conn) { c.OnData(onData) }); err != nil {
+		if err := p.ms.Listen(80, p.tcp(mtcp.Options{}), func(c *mtcp.Conn) { c.OnData(onData) }); err != nil {
 			return out
 		}
 		fixedConn = p.fs.Dial(simnet.Addr{Node: p.mobile.ID, Port: 80}, mtcp.Options{NewReno: true}, func(c *mtcp.Conn, err error) {
@@ -101,27 +98,27 @@ func runVariant(seed int64, variant string, loss float64, size int, horizon time
 	case "I-TCP (split connection)":
 		// The fixed server listens; the mobile connects through the
 		// gateway relay; the server pushes the payload.
-		if err := p.fs.Listen(80, ccOpts(mtcp.Options{}), func(c *mtcp.Conn) {
+		if err := p.fs.Listen(80, p.tcp(mtcp.Options{}), func(c *mtcp.Conn) {
 			fixedConn = c
 			c.Send(make([]byte, size))
 		}); err != nil {
 			return out
 		}
 		if _, err := mtcp.NewRelay(p.gs, 8080, simnet.Addr{Node: p.fixed.ID, Port: 80},
-			ccOpts(mtcp.Options{RTOMin: 100 * time.Millisecond}), ccOpts(mtcp.Options{})); err != nil {
+			p.tcp(mtcp.Options{RTOMin: 100 * time.Millisecond}), p.tcp(mtcp.Options{})); err != nil {
 			return out
 		}
-		p.ms.Dial(simnet.Addr{Node: p.gateway.ID, Port: 8080}, ccOpts(mtcp.Options{}), func(c *mtcp.Conn, err error) {
+		p.ms.Dial(simnet.Addr{Node: p.gateway.ID, Port: 8080}, p.tcp(mtcp.Options{}), func(c *mtcp.Conn, err error) {
 			if err == nil {
 				c.OnData(onData)
 			}
 		})
 	case "Snoop (packet caching)":
 		mtcp.NewSnoopAgent(p.gateway, func(id simnet.NodeID) bool { return id == p.mobile.ID }, 0)
-		if err := p.ms.Listen(80, ccOpts(mtcp.Options{}), func(c *mtcp.Conn) { c.OnData(onData) }); err != nil {
+		if err := p.ms.Listen(80, p.tcp(mtcp.Options{}), func(c *mtcp.Conn) { c.OnData(onData) }); err != nil {
 			return out
 		}
-		fixedConn = p.fs.Dial(simnet.Addr{Node: p.mobile.ID, Port: 80}, ccOpts(mtcp.Options{}), func(c *mtcp.Conn, err error) {
+		fixedConn = p.fs.Dial(simnet.Addr{Node: p.mobile.ID, Port: 80}, p.tcp(mtcp.Options{}), func(c *mtcp.Conn, err error) {
 			if err == nil {
 				c.Send(make([]byte, size))
 			}
@@ -156,7 +153,7 @@ func runVariant(seed int64, variant string, loss float64, size int, horizon time
 // packet caching of Balakrishnan et al. [1]; (b) a disconnection scenario
 // exercising the fast-retransmission-on-reconnection scheme of Caceres &
 // Iftode [2].
-func TCPVariants(seed int64) []*Result {
+func TCPVariants(seed int64, opts Options) []*Result {
 	sweep := newResult("E-TCP(a)", "TCP variants vs wireless loss (300 KB download, fixed→mobile)",
 		"wireless loss", "variant", "completed", "time", "goodput", "wired-sender retransmits")
 
@@ -166,7 +163,7 @@ func TCPVariants(seed int64) []*Result {
 	losses := []float64{0.001, 0.01, 0.03, 0.05, 0.10}
 	for _, loss := range losses {
 		for _, v := range variants {
-			o := runVariant(seed, v, loss, size, horizon)
+			o := runVariant(seed, opts.CC, v, loss, size, horizon)
 			sweep.AddRow(
 				fmt.Sprintf("%.1f%%", loss*100), v,
 				fmt.Sprint(o.completed), fmtDur(o.elapsed), fmtRate(o.goodputBps),
@@ -185,7 +182,7 @@ func TCPVariants(seed int64) []*Result {
 	recon := newResult("E-TCP(b)", "Fast retransmission after reconnection [2] (120 KB through a 4.2 s blackout)",
 		"scheme", "transfer time", "idle after reconnect")
 	for _, signal := range []bool{false, true} {
-		elapsed, idle := reconnectRun(seed, signal)
+		elapsed, idle := reconnectRun(seed, opts.CC, signal)
 		name := "standard TCP (waits for backed-off RTO)"
 		if signal {
 			name = "fast retransmit on reconnection [2]"
@@ -202,15 +199,15 @@ func TCPVariants(seed int64) []*Result {
 // reconnectRun transfers 120 KB through a 300 ms – 4.5 s blackout and
 // returns (completion time, idle time between reconnection and the first
 // post-blackout delivery).
-func reconnectRun(seed int64, signal bool) (time.Duration, time.Duration) {
-	p := newTCPPath(seed, 0)
+func reconnectRun(seed int64, cc string, signal bool) (time.Duration, time.Duration) {
+	p := newTCPPath(seed, 0, cc)
 	const size = 120 << 10
 	const reconnectAt = 4500 * time.Millisecond
 
 	var mobileConn *mtcp.Conn
 	got := 0
 	var doneAt, firstAfter time.Duration
-	if err := p.ms.Listen(80, ccOpts(mtcp.Options{}), func(c *mtcp.Conn) {
+	if err := p.ms.Listen(80, p.tcp(mtcp.Options{}), func(c *mtcp.Conn) {
 		mobileConn = c
 		c.OnData(func(b []byte) {
 			got += len(b)
@@ -226,7 +223,7 @@ func reconnectRun(seed int64, signal bool) (time.Duration, time.Duration) {
 	}); err != nil {
 		return 0, 0
 	}
-	p.fs.Dial(simnet.Addr{Node: p.mobile.ID, Port: 80}, ccOpts(mtcp.Options{}), func(c *mtcp.Conn, err error) {
+	p.fs.Dial(simnet.Addr{Node: p.mobile.ID, Port: 80}, p.tcp(mtcp.Options{}), func(c *mtcp.Conn, err error) {
 		if err == nil {
 			c.Send(make([]byte, size))
 		}
@@ -290,8 +287,8 @@ type faultedOutcome struct {
 // "TCP + fast reconnect" is end-to-end Reno with SignalReconnect fired
 // at each wireless restore, the Caceres & Iftode [2] scheme driven by
 // the link layer.
-func runFaulted(seed int64, variant string, size int, horizon time.Duration) faultedOutcome {
-	p := newTCPPath(seed, 0.01)
+func runFaulted(seed int64, opts *Options, variant string, size int, horizon time.Duration) faultedOutcome {
+	p := newTCPPath(seed, 0.01, opts.CC)
 	var out faultedOutcome
 	out.recovery = make([]time.Duration, len(tcpFaultRestores))
 
@@ -301,7 +298,7 @@ func runFaulted(seed int64, variant string, size int, horizon time.Duration) fau
 	if err := in.Schedule(defaultTCPFaultPlan()); err != nil {
 		return out
 	}
-	tl := obs.NewTimeline(TimelineInterval)
+	tl := obs.NewTimeline(opts.interval())
 	tl.Attach("", p.net)
 
 	var fixedConn, mobileConn *mtcp.Conn
@@ -325,19 +322,19 @@ func runFaulted(seed int64, variant string, size int, horizon time.Duration) fau
 	switch variant {
 	case "TCP (end-to-end Reno)", "TCP + fast reconnect [2]":
 		fastReconnect = variant == "TCP + fast reconnect [2]"
-		if err := p.ms.Listen(80, ccOpts(mtcp.Options{}), func(c *mtcp.Conn) {
+		if err := p.ms.Listen(80, p.tcp(mtcp.Options{}), func(c *mtcp.Conn) {
 			mobileConn = c
 			c.OnData(onData)
 		}); err != nil {
 			return out
 		}
-		fixedConn = p.fs.Dial(simnet.Addr{Node: p.mobile.ID, Port: 80}, ccOpts(mtcp.Options{}), func(c *mtcp.Conn, err error) {
+		fixedConn = p.fs.Dial(simnet.Addr{Node: p.mobile.ID, Port: 80}, p.tcp(mtcp.Options{}), func(c *mtcp.Conn, err error) {
 			if err == nil {
 				c.Send(make([]byte, size))
 			}
 		})
 	case "I-TCP (split connection)":
-		if err := p.fs.Listen(80, ccOpts(mtcp.Options{}), func(c *mtcp.Conn) {
+		if err := p.fs.Listen(80, p.tcp(mtcp.Options{}), func(c *mtcp.Conn) {
 			fixedConn = c
 			c.Send(make([]byte, size))
 		}); err != nil {
@@ -349,10 +346,10 @@ func runFaulted(seed int64, variant string, size int, horizon time.Duration) fau
 		// blackout, so its retransmission counter reflects wireless
 		// events reaching it, not self-inflicted buffer loss.
 		if _, err := mtcp.NewRelay(p.gs, 8080, simnet.Addr{Node: p.fixed.ID, Port: 80},
-			ccOpts(mtcp.Options{RTOMin: 100 * time.Millisecond}), ccOpts(mtcp.Options{RcvWnd: 64 << 10})); err != nil {
+			p.tcp(mtcp.Options{RTOMin: 100 * time.Millisecond}), p.tcp(mtcp.Options{RcvWnd: 64 << 10})); err != nil {
 			return out
 		}
-		p.ms.Dial(simnet.Addr{Node: p.gateway.ID, Port: 8080}, ccOpts(mtcp.Options{}), func(c *mtcp.Conn, err error) {
+		p.ms.Dial(simnet.Addr{Node: p.gateway.ID, Port: 8080}, p.tcp(mtcp.Options{}), func(c *mtcp.Conn, err error) {
 			if err == nil {
 				mobileConn = c
 				c.OnData(onData)
@@ -360,13 +357,13 @@ func runFaulted(seed int64, variant string, size int, horizon time.Duration) fau
 		})
 	case "Snoop (packet caching)":
 		mtcp.NewSnoopAgent(p.gateway, func(id simnet.NodeID) bool { return id == p.mobile.ID }, 0)
-		if err := p.ms.Listen(80, ccOpts(mtcp.Options{}), func(c *mtcp.Conn) {
+		if err := p.ms.Listen(80, p.tcp(mtcp.Options{}), func(c *mtcp.Conn) {
 			mobileConn = c
 			c.OnData(onData)
 		}); err != nil {
 			return out
 		}
-		fixedConn = p.fs.Dial(simnet.Addr{Node: p.mobile.ID, Port: 80}, ccOpts(mtcp.Options{}), func(c *mtcp.Conn, err error) {
+		fixedConn = p.fs.Dial(simnet.Addr{Node: p.mobile.ID, Port: 80}, p.tcp(mtcp.Options{}), func(c *mtcp.Conn, err error) {
 			if err == nil {
 				c.Send(make([]byte, size))
 			}
@@ -413,7 +410,7 @@ func runFaulted(seed int64, variant string, size int, horizon time.Duration) fau
 // TCPFaultPlan compares the §5.2 variants riding the transport testbed's
 // default fault plan: sender retransmission overhead and per-blackout
 // handoff recovery time, the two costs the paper's cited schemes attack.
-func TCPFaultPlan(seed int64) []*Result {
+func TCPFaultPlan(seed int64, opts Options) []*Result {
 	r := newResult("E-TCP(d)", "TCP variants under the default fault plan (2 MB, two wireless blackouts + wired brownout, 1% ambient loss)",
 		"variant", "completed", "time", "sender rtx overhead", "recovery after 1.5s blackout", "recovery after 2s blackout", "SLO violations")
 	const size = 2 << 20
@@ -425,7 +422,7 @@ func TCPFaultPlan(seed int64) []*Result {
 		"TCP + fast reconnect [2]",
 	}
 	for _, v := range variants {
-		o := runFaulted(seed, v, size, horizon)
+		o := runFaulted(seed, &opts, v, size, horizon)
 		rec := func(i int) string {
 			if i >= len(o.recovery) || o.recovery[i] == 0 {
 				return "done before"
@@ -435,7 +432,7 @@ func TCPFaultPlan(seed int64) []*Result {
 		r.AddRow(v, fmt.Sprint(o.completed), fmtDur(o.elapsed),
 			fmt.Sprintf("%.1f%%", o.rtxOverhead*100), rec(0), rec(1), sloCell(o.slo))
 		r.AttachSLO(v, o.slo)
-		writeTimeline(r, timelineTag("tcpfault", v), o.timeline, o.slo)
+		opts.writeTimeline(r, timelineTag("tcpfault", v), o.timeline, o.slo)
 		r.Set(v+"/elapsed_ms", float64(o.elapsed.Milliseconds()))
 		r.Set(v+"/rtx_overhead", o.rtxOverhead)
 		r.Set(v+"/completed", b2f(o.completed))

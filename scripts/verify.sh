@@ -18,7 +18,12 @@
 # gates: internal/obs under the race detector, the OpenMetrics
 # exposition linted by scripts/omlint, and same-seed -timeline exports
 # byte-identical run to run (mcsim -faults with the SLO engine on) and
-# across worker-lane counts (mcload -scale, -shards 1 vs 4).
+# across worker-lane counts (mcload -scale, -shards 1 vs 4). The shared
+# option surface adds its gates: the nested e2ebench module (which the
+# root go test ./... cannot see) must vet and test against the
+# experiments package it imports, the -slo rule-file parser is fuzzed,
+# and the -sync tier's -trace export must be byte-identical serial vs
+# sharded.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -26,6 +31,8 @@ cd "$(dirname "$0")/.."
 go vet ./...
 go build ./...
 go test ./...
+(cd e2ebench && go vet . && go test .)
+go test -run '^$' -fuzz FuzzParseRules -fuzztime 10s ./internal/obs
 go test -race ./internal/experiments ./internal/simnet ./internal/faults/... \
 	./internal/metrics/... ./internal/core/... ./internal/trace/... \
 	./internal/database/... ./internal/mobiledb/... ./internal/repl/... \
@@ -83,6 +90,17 @@ cmp /tmp/mc-sync-a.txt /tmp/mc-sync-b.txt
 grep -q '^lost=0 ' /tmp/mc-sync-a.txt
 grep -q '^converged: yes' /tmp/mc-sync-a.txt
 rm -f /tmp/mc-sync-a.txt /tmp/mc-sync-b.txt
+# The storm's sync flows start traces: the -sync -trace Perfetto export
+# must be byte-identical serial vs sharded, and so must the report (the
+# echoed trace path aside).
+go run ./cmd/mcload -sync -seed 7 -gateways 2 -cells 2 -devices 100 \
+	-duration 30s -shards 1 -trace /tmp/mc-sync-trace-a.json >/tmp/mc-sync-a.txt 2>/dev/null
+go run ./cmd/mcload -sync -seed 7 -gateways 2 -cells 2 -devices 100 \
+	-duration 30s -shards 4 -trace /tmp/mc-sync-trace-b.json >/tmp/mc-sync-b.txt 2>/dev/null
+cmp /tmp/mc-sync-trace-a.json /tmp/mc-sync-trace-b.json
+sed -i 's/mc-sync-trace-[ab]/mc-sync-trace/' /tmp/mc-sync-a.txt /tmp/mc-sync-b.txt
+cmp /tmp/mc-sync-a.txt /tmp/mc-sync-b.txt
+rm -f /tmp/mc-sync-a.txt /tmp/mc-sync-b.txt /tmp/mc-sync-trace-a.json /tmp/mc-sync-trace-b.json
 # Segment-level TCP: race-clean state machine and congestion control
 # (the mtcp suite exercises both algorithms, simultaneous open/close,
 # TIME_WAIT reuse and the wraparound transfer), and the segment hot
