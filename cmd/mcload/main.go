@@ -19,6 +19,9 @@
 // experiments.Options, registered, checked and finished in one place, so
 // every tier honours them: -metrics dumps the run's registry and -trace
 // exports its spans on the full-fidelity, -scale and -sync tiers alike.
+// The tier sizes -gateways, -cells, -stations, -devices and -replicas
+// must be at least 1, -remote in 1..1000 and -duration positive; a bad
+// value fails the run with the flag's name.
 //
 // With -trace FILE, every sampled operation becomes a causal span tree and
 // the run ends by writing a Chrome trace-event (Perfetto) JSON file plus a
@@ -120,10 +123,10 @@ func newFlagSet() (*flag.FlagSet, *cli) {
 	fs.BoolVar(&c.noChaos, "no-chaos", false, "with -sync, skip the per-cluster fault plan")
 	fs.DurationVar(&c.writeMean, "write-mean", 2*time.Second, "with -sync, mean gap between a device's disconnected writes")
 	fs.DurationVar(&c.syncMean, "sync-mean", 4*time.Second, "with -sync, mean gap between a device's sync attempts")
-	fs.IntVar(&c.gateways, "gateways", 4, "with -scale, number of gateway clusters")
-	fs.IntVar(&c.cells, "cells", 2, "with -scale, cell aggregator nodes per cluster")
+	fs.IntVar(&c.gateways, "gateways", 4, "with -scale or -sync, number of gateway clusters")
+	fs.IntVar(&c.cells, "cells", 2, "with -scale or -sync, cells per cluster")
 	fs.IntVar(&c.stations, "stations", 50, "with -scale, virtual stations per cell")
-	fs.IntVar(&c.remote, "remote", 200, "with -scale, per mille of each cell's stations that target the next cluster's host")
+	fs.IntVar(&c.remote, "remote", 200, "with -scale or -sync, per mille (1..1000) of each cell's stations or devices that target the next cluster")
 	fs.StringVar(&c.engineTimeline, "engine-timeline", "", "with -scale, write the executor's per-shard scheduling counters as time-series JSON (varies with -shards by design)")
 	return fs, c
 }
@@ -135,6 +138,25 @@ func run(args []string, w io.Writer) error {
 	}
 	if err := c.opts.Check(); err != nil {
 		return err
+	}
+	// The tier configs replace a zero or negative size with their
+	// default, so a bad value must be rejected here, not run silently.
+	for _, f := range []struct {
+		name string
+		v    int
+	}{
+		{"gateways", c.gateways}, {"cells", c.cells}, {"stations", c.stations},
+		{"devices", c.devices}, {"replicas", c.replicas},
+	} {
+		if f.v < 1 {
+			return fmt.Errorf("-%s must be >= 1, got %d", f.name, f.v)
+		}
+	}
+	if c.remote < 1 || c.remote > 1000 {
+		return fmt.Errorf("-remote must be in 1..1000, got %d", c.remote)
+	}
+	if c.duration <= 0 {
+		return fmt.Errorf("-duration must be > 0, got %v", c.duration)
 	}
 	if c.engineTimeline != "" && !c.scale {
 		return fmt.Errorf("-engine-timeline requires -scale (only the sharded executor has engine counters to sample)")

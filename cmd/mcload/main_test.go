@@ -23,16 +23,36 @@ func TestRunCellularLoad(t *testing.T) {
 }
 
 func TestRunRejectsBadInputs(t *testing.T) {
-	for _, args := range [][]string{
-		{"-bearer", "smoke-signals"},
-		{"-wlan", "802.11zz"},
-		{"-bearer", "cellular", "-cell", "7g"},
-		{"-users", "0"},
-		{"-shards", "0"},
-		{"-scale", "-stations", "70000"},
+	for _, tc := range []struct {
+		args []string
+		want string // substring of the error; "" for any error
+	}{
+		{[]string{"-bearer", "smoke-signals"}, ""},
+		{[]string{"-wlan", "802.11zz"}, ""},
+		{[]string{"-bearer", "cellular", "-cell", "7g"}, ""},
+		{[]string{"-users", "0"}, ""},
+		{[]string{"-shards", "0"}, ""},
+		{[]string{"-scale", "-stations", "70000"}, ""},
+		// Each tier config silently replaces these with its default.
+		{[]string{"-scale", "-gateways", "0"}, "-gateways must be >= 1, got 0"},
+		{[]string{"-scale", "-cells", "0"}, "-cells must be >= 1, got 0"},
+		{[]string{"-scale", "-stations", "0"}, "-stations must be >= 1, got 0"},
+		{[]string{"-sync", "-devices", "0"}, "-devices must be >= 1, got 0"},
+		{[]string{"-sync", "-gateways", "0"}, "-gateways must be >= 1, got 0"},
+		{[]string{"-sync", "-cells", "0"}, "-cells must be >= 1, got 0"},
+		{[]string{"-sync", "-replicas", "0"}, "-replicas must be >= 1, got 0"},
+		{[]string{"-sync", "-replicas", "-1"}, "-replicas must be >= 1, got -1"},
+		{[]string{"-scale", "-remote", "0"}, "-remote must be in 1..1000, got 0"},
+		{[]string{"-scale", "-remote", "-5"}, "-remote must be in 1..1000, got -5"},
+		{[]string{"-scale", "-remote", "2000"}, "-remote must be in 1..1000, got 2000"},
+		{[]string{"-scale", "-duration", "0s"}, "-duration must be > 0, got 0s"},
+		{[]string{"-scale", "-duration", "-1s"}, "-duration must be > 0, got -1s"},
 	} {
-		if err := run(args, io.Discard); err == nil {
-			t.Errorf("args %v accepted", args)
+		err := run(tc.args, io.Discard)
+		if err == nil {
+			t.Errorf("args %v accepted", tc.args)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("args %v: error %q, want it to contain %q", tc.args, err, tc.want)
 		}
 	}
 }

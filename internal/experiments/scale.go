@@ -111,9 +111,9 @@ func BuildScale(cfg ScaleConfig) (*ScaleWorld, error) {
 	var tnodes []simnet.TopoNode
 	var tlinks []simnet.TopoLink
 	for c := 0; c < G; c++ {
-		tnodes = append(tnodes, simnet.TopoNode{Key: hostKey(c), Weight: 1, Pin: -1})
+		tnodes = append(tnodes, simnet.TopoNode{Key: hostKey(c), Weight: 1})
 		for j := 0; j < C; j++ {
-			tnodes = append(tnodes, simnet.TopoNode{Key: cellKey(c, j), Weight: S, Pin: -1})
+			tnodes = append(tnodes, simnet.TopoNode{Key: cellKey(c, j), Weight: S})
 			tlinks = append(tlinks, simnet.TopoLink{A: cellKey(c, j), B: hostKey(c), Delay: scaleUplink.Delay})
 		}
 	}
@@ -121,7 +121,7 @@ func BuildScale(cfg ScaleConfig) (*ScaleWorld, error) {
 	for _, p := range ringPairs {
 		tlinks = append(tlinks, simnet.TopoLink{A: hostKey(p[0]), B: hostKey(p[1]), Delay: scaleBackbone.Delay})
 	}
-	plan, err := simnet.PlanPartition(tnodes, tlinks, cfg.MaxShards, 0)
+	plan, err := simnet.PlanPartition(tnodes, tlinks, cfg.MaxShards)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: scale partition: %w", err)
 	}

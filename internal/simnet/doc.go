@@ -7,8 +7,9 @@
 // The kernel provides:
 //
 //   - a virtual clock and an event scheduler (Scheduler) with cancellable
-//     timers, driven by a binary heap keyed on (time, sequence) so that
-//     execution order is fully deterministic for a given seed;
+//     timers, driven by a hierarchical timing wheel that fires events in
+//     (time, sequence) order so that execution order is fully
+//     deterministic for a given seed;
 //   - packets (Packet) with simulated wire sizes decoupled from their Go
 //     payloads, so protocol headers can be accounted for without byte-level
 //     marshalling;
@@ -24,11 +25,12 @@
 //
 // For worlds too large for one core, Sharded runs several Networks — one
 // per topology shard — under a conservative time-window protocol
-// (PlanPartition derives the shards and the lookahead from the link
-// topology; CrossLink carries packets between them). Each shard keeps the
-// single-goroutine ownership story above: within a window exactly one
-// goroutine drives a shard's scheduler, registry, tracer and pools, and
-// windows are separated by barrier happens-before edges. Execution is
+// (PlanPartition derives the shards from the link topology; CrossLink
+// carries packets between them, and the smallest cross-link delay is
+// the window width). Each shard keeps the single-goroutine ownership
+// story above: within a window exactly one goroutine drives a shard's
+// scheduler, registry, tracer and pools, and a shared scoreboard orders
+// each shard's windows after the ring drains they depend on. Execution is
 // invariant to the number of worker goroutines, so a parallel run is
 // byte-identical to a serial one at the same seed.
 package simnet

@@ -7,17 +7,18 @@ import (
 )
 
 // This file is the shard planner: a pure, deterministic function from an
-// abstract topology description to a partition of its nodes into shards
-// plus the conservative lookahead the sharded executor may use. Builders
-// describe their world as keys before instantiating any simnet state, plan
-// the partition, then create each node on the shard the plan assigned it.
+// abstract topology description to a partition of its nodes into shards.
+// Builders describe their world as keys before instantiating any simnet
+// state, plan the partition, then create each node on the shard the plan
+// assigned it. The window width follows from the links the builder then
+// crosses (Sharded.Lookahead).
 
-// DefaultCutFloor is the link-delay floor below which two nodes are never
+// cutFloor is the link-delay floor below which two nodes are never
 // separated: links faster than this (LAN segments, radio cells) would
 // force an uselessly small lookahead window, so they are contracted and
 // their endpoints co-located. 1ms keeps WAN/backbone links (the paper's
 // wired network component) as the only candidate cut edges.
-const DefaultCutFloor = time.Millisecond
+const cutFloor = time.Millisecond
 
 // TopoNode describes one would-be node (or node cluster) to the planner.
 type TopoNode struct {
@@ -27,10 +28,6 @@ type TopoNode struct {
 	// count); the packer balances total weight across shards. Zero counts
 	// as one.
 	Weight int
-	// Pin, when >= 0, is a manual override: all nodes pinned to the same
-	// value are placed in one shard together, regardless of topology.
-	// -1 (or any negative) means automatic placement.
-	Pin int
 }
 
 // TopoLink describes one would-be link between two keys. Delay is the
@@ -41,39 +38,29 @@ type TopoLink struct {
 	Delay time.Duration
 }
 
-// PartitionPlan is the planner's output: a shard assignment for every key
-// and the lookahead window the cut links support.
+// PartitionPlan is the planner's output: a shard assignment for every key.
 type PartitionPlan struct {
 	// NumShards is the number of shards actually used (<= maxShards).
 	NumShards int
 	// Assign maps every node key to its shard index in [0, NumShards).
 	Assign map[string]int
-	// Lookahead is the minimum delay over cut links — the widest
-	// conservative window the executor may run shards independently for.
-	// Zero when the plan has a single shard (nothing is cut).
-	Lookahead time.Duration
-	// Groups lists the keys per shard, sorted, for diagnostics.
-	Groups [][]string
 }
 
 // ShardFor returns the shard index for key (0 if unknown).
 func (p PartitionPlan) ShardFor(key string) int { return p.Assign[key] }
 
 // PlanPartition partitions the described topology into at most maxShards
-// shards. Links with Delay < cutFloor (DefaultCutFloor when <= 0) are
-// contracted — their endpoints always share a shard — as are nodes pinned
-// to the same value; the resulting components are packed onto shards by
-// greatest weight first onto the least-loaded shard. Everything is
-// deterministic in the input order: same description, same plan.
+// shards. Links with Delay below cutFloor are contracted — their endpoints
+// always share a shard — and the resulting components are packed onto
+// shards by greatest weight first onto the least-loaded shard.
+// Everything is deterministic in the input order: same description, same
+// plan.
 //
-// It returns an error when a link references an unknown key, a component
-// is pinned to two different values, or maxShards < 1.
-func PlanPartition(nodes []TopoNode, links []TopoLink, maxShards int, cutFloor time.Duration) (PartitionPlan, error) {
+// It returns an error when a key is duplicated, a link references an
+// unknown key, or maxShards < 1.
+func PlanPartition(nodes []TopoNode, links []TopoLink, maxShards int) (PartitionPlan, error) {
 	if maxShards < 1 {
 		return PartitionPlan{}, fmt.Errorf("simnet: maxShards %d < 1", maxShards)
-	}
-	if cutFloor <= 0 {
-		cutFloor = DefaultCutFloor
 	}
 	index := make(map[string]int, len(nodes))
 	for i, nd := range nodes {
@@ -119,24 +106,11 @@ func PlanPartition(nodes []TopoNode, links []TopoLink, maxShards int, cutFloor t
 			union(ia, ib)
 		}
 	}
-	// Contract shared pins.
-	pinRoot := make(map[int]int)
-	for i, nd := range nodes {
-		if nd.Pin < 0 {
-			continue
-		}
-		if first, ok := pinRoot[nd.Pin]; ok {
-			union(first, i)
-		} else {
-			pinRoot[nd.Pin] = i
-		}
-	}
 
 	// Collect components in root order (deterministic).
 	type comp struct {
 		root   int
 		weight int
-		pin    int
 	}
 	byRoot := make(map[int]*comp)
 	var comps []*comp
@@ -144,7 +118,7 @@ func PlanPartition(nodes []TopoNode, links []TopoLink, maxShards int, cutFloor t
 		r := find(i)
 		c, ok := byRoot[r]
 		if !ok {
-			c = &comp{root: r, pin: -1}
+			c = &comp{root: r}
 			byRoot[r] = c
 			comps = append(comps, c)
 		}
@@ -153,12 +127,6 @@ func PlanPartition(nodes []TopoNode, links []TopoLink, maxShards int, cutFloor t
 			w = 1
 		}
 		c.weight += w
-		if nd.Pin >= 0 {
-			if c.pin >= 0 && c.pin != nd.Pin {
-				return PartitionPlan{}, fmt.Errorf("simnet: component of %q pinned to both %d and %d", nd.Key, c.pin, nd.Pin)
-			}
-			c.pin = nd.Pin
-		}
 	}
 
 	// Pack: heaviest component first onto the least-loaded shard, ties to
@@ -198,25 +166,5 @@ func PlanPartition(nodes []TopoNode, links []TopoLink, maxShards int, cutFloor t
 		plan.Assign[nd.Key] = nk
 	}
 	plan.NumShards = len(renum)
-
-	plan.Groups = make([][]string, plan.NumShards)
-	for _, nd := range nodes {
-		k := plan.Assign[nd.Key]
-		plan.Groups[k] = append(plan.Groups[k], nd.Key)
-	}
-	for _, g := range plan.Groups {
-		sort.Strings(g)
-	}
-
-	// Lookahead: the minimum delay over links whose endpoints landed in
-	// different shards.
-	for _, l := range links {
-		if plan.Assign[l.A] == plan.Assign[l.B] {
-			continue
-		}
-		if plan.Lookahead == 0 || l.Delay < plan.Lookahead {
-			plan.Lookahead = l.Delay
-		}
-	}
 	return plan, nil
 }

@@ -9,24 +9,24 @@ import (
 func TestPlanPartitionContractsFastLinks(t *testing.T) {
 	// Two gateway clusters joined by a WAN backbone: the LAN links are
 	// below the cut floor and must never be cut; the backbone is the only
-	// candidate cut edge, so its delay becomes the lookahead.
+	// candidate cut edge.
 	nodes := []TopoNode{
-		{Key: "gw0", Weight: 10, Pin: -1},
-		{Key: "cell0", Weight: 100, Pin: -1},
-		{Key: "gw1", Weight: 10, Pin: -1},
-		{Key: "cell1", Weight: 100, Pin: -1},
+		{Key: "gw0", Weight: 10},
+		{Key: "cell0", Weight: 100},
+		{Key: "gw1", Weight: 10},
+		{Key: "cell1", Weight: 100},
 	}
 	links := []TopoLink{
 		{A: "gw0", B: "cell0", Delay: 200 * time.Microsecond},
 		{A: "gw1", B: "cell1", Delay: 200 * time.Microsecond},
 		{A: "gw0", B: "gw1", Delay: 10 * time.Millisecond},
 	}
-	plan, err := PlanPartition(nodes, links, 8, 0)
+	plan, err := PlanPartition(nodes, links, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if plan.NumShards != 2 {
-		t.Fatalf("NumShards = %d, want 2 (groups %v)", plan.NumShards, plan.Groups)
+		t.Fatalf("NumShards = %d, want 2 (assign %v)", plan.NumShards, plan.Assign)
 	}
 	if plan.Assign["gw0"] != plan.Assign["cell0"] || plan.Assign["gw1"] != plan.Assign["cell1"] {
 		t.Fatalf("LAN-joined nodes split across shards: %v", plan.Assign)
@@ -37,16 +37,13 @@ func TestPlanPartitionContractsFastLinks(t *testing.T) {
 	if plan.Assign["gw0"] != 0 {
 		t.Fatalf("first-described node not in shard 0: %v", plan.Assign)
 	}
-	if plan.Lookahead != 10*time.Millisecond {
-		t.Fatalf("Lookahead = %v, want 10ms", plan.Lookahead)
-	}
 }
 
 func TestPlanPartitionDeterministic(t *testing.T) {
 	nodes := []TopoNode{
-		{Key: "a", Weight: 3, Pin: -1}, {Key: "b", Weight: 5, Pin: -1},
-		{Key: "c", Weight: 2, Pin: -1}, {Key: "d", Weight: 5, Pin: -1},
-		{Key: "e", Weight: 1, Pin: -1},
+		{Key: "a", Weight: 3}, {Key: "b", Weight: 5},
+		{Key: "c", Weight: 2}, {Key: "d", Weight: 5},
+		{Key: "e", Weight: 1},
 	}
 	links := []TopoLink{
 		{A: "a", B: "b", Delay: 5 * time.Millisecond},
@@ -54,11 +51,11 @@ func TestPlanPartitionDeterministic(t *testing.T) {
 		{A: "c", B: "d", Delay: 9 * time.Millisecond},
 		{A: "d", B: "e", Delay: 11 * time.Millisecond},
 	}
-	p1, err := PlanPartition(nodes, links, 3, 0)
+	p1, err := PlanPartition(nodes, links, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := PlanPartition(nodes, links, 3, 0)
+	p2, err := PlanPartition(nodes, links, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,41 +67,15 @@ func TestPlanPartitionDeterministic(t *testing.T) {
 	}
 }
 
-func TestPlanPartitionPins(t *testing.T) {
-	nodes := []TopoNode{
-		{Key: "a", Weight: 1, Pin: 7},
-		{Key: "b", Weight: 1, Pin: 7},
-		{Key: "c", Weight: 1, Pin: -1},
-	}
-	links := []TopoLink{{A: "a", B: "c", Delay: 5 * time.Millisecond}}
-	plan, err := PlanPartition(nodes, links, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Assign["a"] != plan.Assign["b"] {
-		t.Fatalf("shared pin split: %v", plan.Assign)
-	}
-
-	// A fast link welding two different pins together is a conflict.
-	bad := []TopoNode{
-		{Key: "a", Weight: 1, Pin: 1},
-		{Key: "b", Weight: 1, Pin: 2},
-	}
-	weld := []TopoLink{{A: "a", B: "b", Delay: time.Microsecond}}
-	if _, err := PlanPartition(bad, weld, 4, 0); err == nil {
-		t.Fatal("conflicting pins in one component not rejected")
-	}
-}
-
 func TestPlanPartitionErrors(t *testing.T) {
-	nodes := []TopoNode{{Key: "a", Pin: -1}}
-	if _, err := PlanPartition(nodes, []TopoLink{{A: "a", B: "ghost", Delay: time.Second}}, 2, 0); err == nil {
+	nodes := []TopoNode{{Key: "a"}}
+	if _, err := PlanPartition(nodes, []TopoLink{{A: "a", B: "ghost", Delay: time.Second}}, 2); err == nil {
 		t.Fatal("unknown link key not rejected")
 	}
-	if _, err := PlanPartition(nodes, nil, 0, 0); err == nil {
+	if _, err := PlanPartition(nodes, nil, 0); err == nil {
 		t.Fatal("maxShards 0 not rejected")
 	}
-	if _, err := PlanPartition([]TopoNode{{Key: "a", Pin: -1}, {Key: "a", Pin: -1}}, nil, 2, 0); err == nil {
+	if _, err := PlanPartition([]TopoNode{{Key: "a"}, {Key: "a"}}, nil, 2); err == nil {
 		t.Fatal("duplicate key not rejected")
 	}
 }
@@ -112,10 +83,10 @@ func TestPlanPartitionErrors(t *testing.T) {
 func TestPlanPartitionBalancesWeight(t *testing.T) {
 	// Four equal-weight isolated components onto two shards: 2 + 2.
 	nodes := []TopoNode{
-		{Key: "a", Weight: 4, Pin: -1}, {Key: "b", Weight: 4, Pin: -1},
-		{Key: "c", Weight: 4, Pin: -1}, {Key: "d", Weight: 4, Pin: -1},
+		{Key: "a", Weight: 4}, {Key: "b", Weight: 4},
+		{Key: "c", Weight: 4}, {Key: "d", Weight: 4},
 	}
-	plan, err := PlanPartition(nodes, nil, 2, 0)
+	plan, err := PlanPartition(nodes, nil, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

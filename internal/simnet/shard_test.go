@@ -95,16 +95,11 @@ func (rw *ringWorld) digest() string {
 	return b.String()
 }
 
-func runRing(tb testing.TB, shards, rounds, workers int, cfg LinkConfig, la time.Duration) *ringWorld {
+func runRing(tb testing.TB, shards, rounds, workers int, cfg LinkConfig) *ringWorld {
 	tb.Helper()
 	rw := buildRingWorld(tb, shards, rounds, cfg)
 	for k := 0; k < shards; k++ {
 		rw.w.Shard(k).Tracer.EnableExport(1)
-	}
-	if la > 0 {
-		if err := rw.w.SetLookahead(la); err != nil {
-			tb.Fatal(err)
-		}
 	}
 	if err := rw.w.RunFor(2*time.Second, workers); err != nil {
 		tb.Fatal(err)
@@ -119,30 +114,20 @@ var ringCfg = LinkConfig{Rate: 10 * Mbps, Delay: 5 * time.Millisecond}
 // the window computes, so every worker count yields a byte-identical
 // world.
 func TestShardedWorkerInvariance(t *testing.T) {
-	want := runRing(t, 4, 50, 1, ringCfg, 0).digest()
+	want := runRing(t, 4, 50, 1, ringCfg).digest()
 	if want == "" {
 		t.Fatal("empty digest")
 	}
 	for _, workers := range []int{2, 4, 8} {
-		got := runRing(t, 4, 50, workers, ringCfg, 0).digest()
+		got := runRing(t, 4, 50, workers, ringCfg).digest()
 		if got != want {
 			t.Fatalf("digest differs at workers=%d:\n--- workers=1 ---\n%s\n--- workers=%d ---\n%s", workers, want, workers, got)
 		}
 	}
 }
 
-// TestShardedLookaheadInvariance: narrowing the window adds barriers but
-// must not change results.
-func TestShardedLookaheadInvariance(t *testing.T) {
-	want := runRing(t, 3, 30, 2, ringCfg, 0).digest()
-	got := runRing(t, 3, 30, 2, ringCfg, 2*time.Millisecond).digest()
-	if got != want {
-		t.Fatalf("narrower lookahead changed the run:\n--- auto ---\n%s\n--- 2ms ---\n%s", want, got)
-	}
-}
-
 func TestShardedDelivery(t *testing.T) {
-	rw := runRing(t, 4, 50, 4, ringCfg, 0)
+	rw := runRing(t, 4, 50, 4, ringCfg)
 	for k, n := range rw.got {
 		if n != 50 {
 			t.Fatalf("shard %d received %d echo replies, want 50", k, n)
@@ -158,7 +143,7 @@ func TestShardedDelivery(t *testing.T) {
 func TestShardedLossCounters(t *testing.T) {
 	cfg := ringCfg
 	cfg.Loss = 0.3
-	rw := runRing(t, 3, 100, 2, cfg, 0)
+	rw := runRing(t, 3, 100, 2, cfg)
 	var delivered, lost uint64
 	for _, l := range rw.links {
 		delivered += l.Delivered[0] + l.Delivered[1]
@@ -179,7 +164,7 @@ func TestShardedLossCounters(t *testing.T) {
 }
 
 func TestShardedTraceNamespacing(t *testing.T) {
-	rw := runRing(t, 3, 20, 3, ringCfg, 0)
+	rw := runRing(t, 3, 20, 3, ringCfg)
 	for k := 0; k < 3; k++ {
 		lo := uint64(k) << 48
 		hi := uint64(k+1) << 48
@@ -258,24 +243,6 @@ func TestShardedLookaheadValidation(t *testing.T) {
 	if rw.w.Lookahead() != 5*time.Millisecond {
 		t.Fatalf("auto lookahead %v, want 5ms", rw.w.Lookahead())
 	}
-	if err := rw.w.SetLookahead(10 * time.Millisecond); err == nil {
-		t.Fatal("lookahead above min cross delay not rejected")
-	}
-	if err := rw.w.SetLookahead(-1); err == nil {
-		t.Fatal("negative lookahead not rejected")
-	}
-	if err := rw.w.SetLookahead(time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if rw.w.Lookahead() != time.Millisecond {
-		t.Fatalf("override ignored: %v", rw.w.Lookahead())
-	}
-	if err := rw.w.SetLookahead(0); err != nil {
-		t.Fatal(err)
-	}
-	if rw.w.Lookahead() != 5*time.Millisecond {
-		t.Fatalf("auto lookahead not restored: %v", rw.w.Lookahead())
-	}
 }
 
 func TestCrossValidation(t *testing.T) {
@@ -328,7 +295,7 @@ func TestShardedStop(t *testing.T) {
 // not change the outcome (cross records produced in the final window are
 // sealed into their destination schedulers between calls).
 func TestShardedResume(t *testing.T) {
-	want := runRing(t, 3, 40, 2, ringCfg, 0).digest()
+	want := runRing(t, 3, 40, 2, ringCfg).digest()
 	rw := buildRingWorld(t, 3, 40, ringCfg)
 	for k := 0; k < 3; k++ {
 		rw.w.Shard(k).Tracer.EnableExport(1)

@@ -57,9 +57,9 @@ var _ Medium = (*CrossLink)(nil)
 
 // Cross creates a link between nodes in two different shards of w,
 // attaching a new interface on each. Its delay is a hard floor on how
-// soon the far shard can be affected, so it must be at least the world's
-// lookahead; Cross enforces Delay > 0 and same-world, different-shard
-// endpoints (use Connect within a shard).
+// soon the far shard can be affected, so the smallest cross delay is the
+// world's window width (Lookahead); Cross enforces Delay > 0 and
+// same-world, different-shard endpoints (use Connect within a shard).
 func (w *Sharded) Cross(x, y *Node, cfg LinkConfig) (*CrossLink, error) {
 	sx, okx := w.shardOf[x.net]
 	sy, oky := w.shardOf[y.net]
@@ -85,8 +85,6 @@ func (w *Sharded) Cross(x, y *Node, cfg LinkConfig) (*CrossLink, error) {
 	if w.minCross == 0 || cfg.Delay < w.minCross {
 		w.minCross = cfg.Delay
 	}
-	w.notePairDelay(int(sx), int(sy), cfg.Delay)
-	w.notePairDelay(int(sy), int(sx), cfg.Delay)
 
 	label := cfg.Name
 	if label == "" {

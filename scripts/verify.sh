@@ -23,7 +23,10 @@
 # root go test ./... cannot see) must vet and test against the
 # experiments package it imports, the -slo rule-file parser is fuzzed,
 # and the -sync tier's -trace export must be byte-identical serial vs
-# sharded.
+# sharded. The one-window-width engine adds its gates: the
+# heterogeneous-delay worker-invariance test and the drain-time
+# causality check run under the race detector, and mcload must reject
+# a zero tier size with a named error instead of running its default.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -66,8 +69,9 @@ rm -f /tmp/mc-bench-gate.txt
 # stdout is directly comparable).
 go test -race -run 'TestShardedRaceOwnership' ./internal/simnet
 # The relaxed scoreboard and work-stealing paths under the race
-# detector (8-shard steal test, Stop mid-window).
-go test -race -run 'TestShardedEightShardSteals|TestShardedStopDuringRun' \
+# detector (8-shard steal test, Stop mid-window, cross links of mixed
+# delays, a record drained into its destination's past).
+go test -race -run 'TestShardedEightShardSteals|TestShardedStopDuringRun|TestShardedHeteroDelayWorkerInvariance|TestShardedCausalityCheck' \
 	./internal/simnet
 go run ./cmd/mcload -scale -seed 7 -gateways 3 -cells 2 -stations 20 \
 	-duration 5s -think 300ms -metrics -shards 1 >/tmp/mc-scale-a.txt 2>/dev/null
@@ -75,6 +79,13 @@ go run ./cmd/mcload -scale -seed 7 -gateways 3 -cells 2 -stations 20 \
 	-duration 5s -think 300ms -metrics -shards 4 >/tmp/mc-scale-b.txt 2>/dev/null
 cmp /tmp/mc-scale-a.txt /tmp/mc-scale-b.txt
 rm -f /tmp/mc-scale-a.txt /tmp/mc-scale-b.txt
+# A tier size the scale config would silently replace with its default
+# must fail the run, naming the flag.
+if go run ./cmd/mcload -scale -gateways 0 >/dev/null 2>/tmp/mc-bad.txt; then
+	exit 1
+fi
+grep -q -- '-gateways must be >= 1, got 0' /tmp/mc-bad.txt
+rm -f /tmp/mc-bad.txt
 go run ./cmd/mcsim -clients 2 -rounds 2 -seed 1 -metrics >/tmp/mc-sim-a.txt 2>/dev/null
 go run ./cmd/mcsim -clients 2 -rounds 2 -seed 1 -metrics -shards 4 >/tmp/mc-sim-b.txt 2>/dev/null
 cmp /tmp/mc-sim-a.txt /tmp/mc-sim-b.txt
