@@ -1,9 +1,10 @@
 package webserver
 
 import (
+	"bytes"
 	"errors"
-	"fmt"
-	"sort"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -88,80 +89,97 @@ func HTML(body string) *Response { return NewResponse(200, TypeHTML, []byte(body
 // Error returns an error response with a plain-text body.
 func Error(status int, msg string) *Response { return NewResponse(status, TypeText, []byte(msg)) }
 
-// statusText maps the status codes the system uses.
-func statusText(code int) string {
+// status returns the status line's code and reason phrase for the status
+// codes the system uses.
+func status(code int) string {
 	switch code {
 	case 200:
-		return "OK"
+		return "200 OK"
 	case 302:
-		return "Found"
+		return "302 Found"
 	case 400:
-		return "Bad Request"
+		return "400 Bad Request"
 	case 401:
-		return "Unauthorized"
+		return "401 Unauthorized"
 	case 403:
-		return "Forbidden"
+		return "403 Forbidden"
 	case 404:
-		return "Not Found"
+		return "404 Not Found"
 	case 405:
-		return "Method Not Allowed"
+		return "405 Method Not Allowed"
 	case 409:
-		return "Conflict"
+		return "409 Conflict"
 	case 500:
-		return "Internal Server Error"
+		return "500 Internal Server Error"
 	case 502:
-		return "Bad Gateway"
+		return "502 Bad Gateway"
 	case 503:
-		return "Service Unavailable"
+		return "503 Service Unavailable"
 	default:
-		return "Status"
+		return strconv.Itoa(code) + " Status"
 	}
 }
 
 // EncodeRequest serializes a request to its wire form.
 func EncodeRequest(r *Request) []byte {
-	var b strings.Builder
-	path := r.Path
+	target := r.Path
 	if len(r.Query) > 0 {
 		keys := make([]string, 0, len(r.Query))
 		for k := range r.Query {
 			keys = append(keys, k)
 		}
-		sort.Strings(keys)
+		slices.Sort(keys)
 		parts := make([]string, 0, len(keys))
 		for _, k := range keys {
 			parts = append(parts, escapeQuery(k)+"="+escapeQuery(r.Query[k]))
 		}
-		path += "?" + strings.Join(parts, "&")
+		target += "?" + strings.Join(parts, "&")
 	}
-	fmt.Fprintf(&b, "%s %s HTTP/1.0\r\n", r.Method, path)
-	writeHeaders(&b, r.Headers, len(r.Body))
-	b.Write(r.Body)
-	return []byte(b.String())
+	return encode(r.Headers, r.Body, r.Method, " ", target, " HTTP/1.0\r\n")
 }
 
 // EncodeResponse serializes a response to its wire form.
 func EncodeResponse(r *Response) []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "HTTP/1.0 %d %s\r\n", r.Status, statusText(r.Status))
-	writeHeaders(&b, r.Headers, len(r.Body))
-	b.Write(r.Body)
-	return []byte(b.String())
+	return encode(r.Headers, r.Body, "HTTP/1.0 ", status(r.Status), "\r\n")
 }
 
-func writeHeaders(b *strings.Builder, hs map[string]string, bodyLen int) {
-	keys := make([]string, 0, len(hs))
+// encode sizes a message, then writes it into one exact-capacity slice:
+// the start line (the concatenation of start), the headers in name order,
+// content-length (whatever hs holds under that name), a blank line and the
+// body.
+func encode(hs map[string]string, body []byte, start ...string) []byte {
+	var keyBuf [8]string
+	keys := keyBuf[:0]
 	for k := range hs {
-		if strings.ToLower(k) == "content-length" {
-			continue
+		if strings.ToLower(k) != "content-length" {
+			keys = append(keys, k)
 		}
-		keys = append(keys, k)
 	}
-	sort.Strings(keys)
+	slices.Sort(keys)
+	var num [20]byte
+	clen := strconv.AppendInt(num[:0], int64(len(body)), 10)
+
+	n := len("content-length: ") + len(clen) + len("\r\n\r\n") + len(body)
+	for _, s := range start {
+		n += len(s)
+	}
 	for _, k := range keys {
-		fmt.Fprintf(b, "%s: %s\r\n", k, hs[k])
+		n += len(k) + len(": ") + len(hs[k]) + len("\r\n")
 	}
-	fmt.Fprintf(b, "content-length: %d\r\n\r\n", bodyLen)
+	b := make([]byte, 0, n)
+	for _, s := range start {
+		b = append(b, s...)
+	}
+	for _, k := range keys {
+		b = append(b, k...)
+		b = append(b, ": "...)
+		b = append(b, hs[k]...)
+		b = append(b, "\r\n"...)
+	}
+	b = append(b, "content-length: "...)
+	b = append(b, clen...)
+	b = append(b, "\r\n\r\n"...)
+	return append(b, body...)
 }
 
 // ParseRequest parses a complete request from its wire form.
@@ -200,56 +218,127 @@ func ParseResponse(wire []byte) (*Response, error) {
 	return out, nil
 }
 
+// maxPrealloc caps the body buffer a parser allocates up front from a
+// Content-Length, so a hostile length cannot force a huge allocation. A
+// longer body grows by append as its bytes arrive.
+const maxPrealloc = 1 << 20
+
+var headEnd = []byte("\r\n\r\n")
+
 // parser accumulates bytes and yields complete messages. It parses both
 // requests and responses depending on which callback is installed.
+//
+// Its work is linear in the bytes it receives. The search for the blank
+// line that ends a head resumes where the previous search stopped, the
+// head is parsed once when that line arrives, and body bytes are appended
+// straight into the message's own buffer, which goes to the callback and
+// is then forgotten, so later messages cannot overwrite it.
 type parser struct {
-	buf        []byte
+	buf     []byte // bytes of the next head, and any after it
+	scanned int    // length of the buf prefix searched for headEnd
+
+	// The message whose body is arriving; hdrs is nil until its head has.
+	start string
+	hdrs  map[string]string
+	clen  int
+	body  []byte
+
 	onRequest  func(*Request)
 	onResponse func(*Response)
 	onError    func(error)
 }
 
 func (p *parser) feed(b []byte) {
+	if p.hdrs != nil {
+		n := min(p.clen-len(p.body), len(b))
+		p.body = append(p.body, b[:n]...)
+		b = b[n:]
+	}
 	p.buf = append(p.buf, b...)
-	for p.tryParse() {
+	for p.next() {
 	}
 }
 
-func (p *parser) tryParse() bool {
-	head := strings.Index(string(p.buf), "\r\n\r\n")
-	if head < 0 {
-		return false
-	}
-	headBytes := p.buf[:head]
-	lines := strings.Split(string(headBytes), "\r\n")
-	if len(lines) == 0 {
-		p.fail()
-		return false
-	}
-	headers := make(map[string]string)
-	for _, ln := range lines[1:] {
-		i := strings.IndexByte(ln, ':')
+// next delivers the next complete message and reports whether it did.
+func (p *parser) next() bool {
+	if p.hdrs == nil {
+		from := max(p.scanned-(len(headEnd)-1), 0)
+		i := bytes.Index(p.buf[from:], headEnd)
 		if i < 0 {
+			p.scanned = len(p.buf)
+			return false
+		}
+		head := from + i
+		if !p.parseHead(p.buf[:head]) {
 			p.fail()
 			return false
 		}
-		headers[strings.ToLower(strings.TrimSpace(ln[:i]))] = strings.TrimSpace(ln[i+1:])
+		rest := p.buf[head+len(headEnd):]
+		n := min(p.clen, len(rest))
+		if p.clen > 0 {
+			p.body = append(make([]byte, 0, min(p.clen, maxPrealloc)), rest[:n]...)
+		}
+		p.buf = append(p.buf[:0], rest[n:]...)
+		p.scanned = 0
 	}
-	clen, _ := strconv.Atoi(headers["content-length"])
-	if clen < 0 {
-		clen = 0
-	}
-	total := head + 4 + clen
-	if len(p.buf) < total {
+	if len(p.body) < p.clen {
 		return false
 	}
-	body := append([]byte(nil), p.buf[head+4:total]...)
-	first := lines[0]
-	p.buf = p.buf[total:]
+	start, hdrs, body := p.start, p.hdrs, p.body
+	p.start, p.hdrs, p.clen, p.body = "", nil, 0, nil
+	return p.deliver(start, hdrs, body)
+}
 
-	if strings.HasPrefix(first, "HTTP/") {
+// parseHead parses a head (the bytes before its blank line) into the
+// parser's start line, headers and content length. A header line without
+// a colon makes the head malformed, and so does a Content-Length that is
+// not a decimal count (RFC 9112 §6.3) or names a message too long to
+// index.
+func (p *parser) parseHead(head []byte) bool {
+	start, rest, more := strings.Cut(string(head), "\r\n")
+	hdrs := make(map[string]string)
+	for more {
+		var line string
+		line, rest, more = strings.Cut(rest, "\r\n")
+		name, value, ok := strings.Cut(line, ":")
+		if !ok {
+			return false
+		}
+		hdrs[strings.ToLower(strings.TrimSpace(name))] = strings.TrimSpace(value)
+	}
+	clen := 0
+	if v, ok := hdrs["content-length"]; ok {
+		if clen, ok = contentLength(v, math.MaxInt-len(head)-len(headEnd)); !ok {
+			return false
+		}
+	}
+	p.start, p.hdrs, p.clen = start, hdrs, clen
+	return true
+}
+
+// contentLength parses a Content-Length value: one or more decimal digits
+// naming at most limit bytes.
+func contentLength(v string, limit int) (int, bool) {
+	if v == "" {
+		return 0, false
+	}
+	n := 0
+	for i := 0; i < len(v); i++ {
+		c := v[i]
+		if c < '0' || c > '9' || n > (limit-int(c-'0'))/10 {
+			return 0, false
+		}
+		n = n*10 + int(c-'0')
+	}
+	return n, true
+}
+
+// deliver checks a complete message's start line and hands the message to
+// its callback.
+func (p *parser) deliver(start string, hdrs map[string]string, body []byte) bool {
+	if strings.HasPrefix(start, "HTTP/") {
 		// Response: HTTP/1.0 200 OK
-		parts := strings.SplitN(first, " ", 3)
+		parts := strings.SplitN(start, " ", 3)
 		if len(parts) < 2 {
 			p.fail()
 			return false
@@ -260,31 +349,38 @@ func (p *parser) tryParse() bool {
 			return false
 		}
 		if p.onResponse != nil {
-			p.onResponse(&Response{Status: status, Headers: headers, Body: body})
+			p.onResponse(&Response{Status: status, Headers: hdrs, Body: body})
 		}
 		return true
 	}
 	// Request: GET /path?q=1 HTTP/1.0
-	parts := strings.Split(first, " ")
+	parts := strings.Split(start, " ")
 	if len(parts) != 3 || !strings.HasPrefix(parts[2], "HTTP/") {
+		p.fail()
+		return false
+	}
+	method := strings.ToUpper(parts[0])
+	if strings.HasPrefix(method, "HTTP/") {
+		// An "http/..." method would re-encode as a status line.
 		p.fail()
 		return false
 	}
 	path, query := splitQuery(parts[1])
 	if p.onRequest != nil {
 		p.onRequest(&Request{
-			Method:  strings.ToUpper(parts[0]),
+			Method:  method,
 			Path:    path,
 			Query:   query,
-			Headers: headers,
+			Headers: hdrs,
 			Body:    body,
 		})
 	}
 	return true
 }
 
+// fail drops everything buffered and reports ErrMalformed.
 func (p *parser) fail() {
-	p.buf = nil
+	*p = parser{onRequest: p.onRequest, onResponse: p.onResponse, onError: p.onError}
 	if p.onError != nil {
 		p.onError(ErrMalformed)
 	}
@@ -312,6 +408,7 @@ func splitQuery(target string) (string, map[string]string) {
 }
 
 func escapeQuery(s string) string {
+	const hex = "0123456789ABCDEF"
 	var b strings.Builder
 	for i := 0; i < len(s); i++ {
 		c := s[i]
@@ -319,14 +416,15 @@ func escapeQuery(s string) string {
 		case c == ' ':
 			b.WriteByte('+')
 		case c == '&' || c == '=' || c == '%' || c == '+' || c == '?' || c == '#' || c < 0x20 || c > 0x7e:
-			fmt.Fprintf(&b, "%%%02X", c)
+			b.WriteByte('%')
+			b.WriteByte(hex[c>>4])
+			b.WriteByte(hex[c&0xf])
 		default:
 			b.WriteByte(c)
 		}
 	}
 	return b.String()
 }
-
 func unescapeQuery(s string) string {
 	var b strings.Builder
 	for i := 0; i < len(s); i++ {

@@ -15,6 +15,7 @@ type webTopo struct {
 	net    *simnet.Network
 	server *webserver.Server
 	client *webserver.Client
+	cStack *mtcp.Stack
 	sNode  *simnet.Node
 }
 
@@ -30,10 +31,12 @@ func newWebTopo(t testing.TB) *webTopo {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
+	cs := mtcp.MustNewStack(cn)
 	return &webTopo{
 		net:    net,
 		server: srv,
-		client: webserver.NewClient(mtcp.MustNewStack(cn), mtcp.Options{}),
+		client: webserver.NewClient(cs, mtcp.Options{}),
+		cStack: cs,
 		sNode:  sn,
 	}
 }
@@ -256,6 +259,31 @@ func TestNilHandlerResponseIs500(t *testing.T) {
 	w.run(t)
 	if status != 500 {
 		t.Errorf("status = %d, want 500", status)
+	}
+}
+
+// A peer that sends a Content-Length too large to index gets a 400, and
+// the server keeps running.
+func TestOverflowContentLengthIs400(t *testing.T) {
+	w := newWebTopo(t)
+	w.server.Handle("/", func(r *webserver.Request) *webserver.Response { return webserver.Text("ok") })
+	var reply []byte
+	w.cStack.Dial(w.server.Addr(), mtcp.Options{}, func(c *mtcp.Conn, err error) {
+		if err != nil {
+			t.Errorf("Dial: %v", err)
+			return
+		}
+		c.OnData(func(b []byte) { reply = append(reply, b...) })
+		c.Send([]byte("GET / HTTP/1.0\r\ncontent-length: 9223372036854775807\r\n\r\nabc"))
+		c.Close()
+	})
+	w.run(t)
+	resp, err := webserver.ParseResponse(reply)
+	if err != nil || resp.Status != 400 {
+		t.Fatalf("reply %q (%v), want a 400", reply, err)
+	}
+	if st := w.server.Stats(); st.Errors != 1 || st.Requests != 0 {
+		t.Errorf("stats %+v, want 1 error and no request", st)
 	}
 }
 

@@ -1,9 +1,9 @@
 #!/bin/sh
 # bench.sh — run the benchmark suite and record a machine-readable
-# trajectory point. Runs every benchmark in simnet, mtcp and experiments
-# (-benchmem, -count 5 so outliers are visible), converts the output to
-# JSON with scripts/benchjson, and writes it to the given file
-# (default BENCH.json).
+# trajectory point. Runs every benchmark in simnet, mtcp, experiments,
+# obs, webserver, markup and database (-benchmem, -count 5 so outliers
+# are visible), converts the output to JSON with scripts/benchjson, and
+# writes it to the given file (default BENCH.json).
 #
 #	scripts/bench.sh BENCH_5.json
 #
@@ -27,7 +27,7 @@ commit="$(git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)"
 
 go test -run '^$' -bench . -benchmem -count "$count" -benchtime "$benchtime" \
 	-timeout 60m ./internal/simnet ./internal/mtcp ./internal/experiments \
-	./internal/obs \
+	./internal/obs ./internal/webserver ./internal/markup ./internal/database \
 	| tee /dev/stderr \
 	| go run ./scripts/benchjson -commit "$commit" >"$out"
 

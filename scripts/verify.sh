@@ -27,6 +27,9 @@
 # heterogeneous-delay worker-invariance test and the drain-time
 # causality check run under the race detector, and mcload must reject
 # a zero tier size with a named error instead of running its default.
+# The linear-time HTTP message path adds its gates: the request and
+# response decoders are fuzzed (no panic, whole and chunked feeds agree,
+# accepted messages round-trip through the encoder).
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -36,6 +39,8 @@ go build ./...
 go test ./...
 (cd e2ebench && go vet . && go test .)
 go test -run '^$' -fuzz FuzzParseRules -fuzztime 10s ./internal/obs
+go test -run '^$' -fuzz FuzzParseRequest -fuzztime 10s ./internal/webserver
+go test -run '^$' -fuzz FuzzParseResponse -fuzztime 10s ./internal/webserver
 go test -race ./internal/experiments ./internal/simnet ./internal/faults/... \
 	./internal/metrics/... ./internal/core/... ./internal/trace/... \
 	./internal/database/... ./internal/mobiledb/... ./internal/repl/... \
