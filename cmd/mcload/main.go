@@ -99,6 +99,7 @@ type cli struct {
 	scale, sync               bool
 	devices, replicas         int
 	policy                    string
+	pol                       mobiledb.Policy
 	fragile, noChaos          bool
 	writeMean, syncMean       time.Duration
 	gateways, cells, stations int
@@ -118,7 +119,7 @@ func newFlagSet() (*flag.FlagSet, *cli) {
 	fs.BoolVar(&c.sync, "sync", false, "run the replicated data tier storm: virtual disconnected devices syncing to per-cluster replica groups under the chaos plan")
 	fs.IntVar(&c.devices, "devices", 100, "with -sync, virtual devices per cell")
 	fs.IntVar(&c.replicas, "replicas", 2, "with -sync, replica nodes beside each cluster's primary")
-	fs.StringVar(&c.policy, "policy", "lww", "with -sync, server conflict policy: lww, server-wins, merge, fragile")
+	fs.StringVar(&c.policy, "policy", "lww", "with -sync, server conflict policy: lww, server-wins, fragile")
 	fs.BoolVar(&c.fragile, "fragile", false, "with -sync, devices roll back tentative writes on timeout (the lost-update baseline)")
 	fs.BoolVar(&c.noChaos, "no-chaos", false, "with -sync, skip the per-cluster fault plan")
 	fs.DurationVar(&c.writeMean, "write-mean", 2*time.Second, "with -sync, mean gap between a device's disconnected writes")
@@ -158,6 +159,12 @@ func run(args []string, w io.Writer) error {
 	if c.duration <= 0 {
 		return fmt.Errorf("-duration must be > 0, got %v", c.duration)
 	}
+	// The merge policy needs a merge func, which no tier supplies.
+	pol, err := mobiledb.ParsePolicy(c.policy)
+	if err != nil || pol == mobiledb.PolicyMerge {
+		return fmt.Errorf("-policy must be lww, server-wins or fragile, got %q", c.policy)
+	}
+	c.pol = pol
 	if c.engineTimeline != "" && !c.scale {
 		return fmt.Errorf("-engine-timeline requires -scale (only the sharded executor has engine counters to sample)")
 	}
@@ -267,10 +274,6 @@ func runScale(c *cli, w io.Writer) error {
 // internals go to stderr.
 func runSync(c *cli, w io.Writer) error {
 	o := &c.opts
-	pol, err := mobiledb.ParsePolicy(c.policy)
-	if err != nil {
-		return err
-	}
 	sw, err := experiments.BuildSyncStorm(experiments.SyncStormConfig{
 		Seed:            o.Seed,
 		Gateways:        c.gateways,
@@ -278,7 +281,7 @@ func runSync(c *cli, w io.Writer) error {
 		DevicesPerCell:  c.devices,
 		Replicas:        c.replicas,
 		RemotePerMille:  c.remote,
-		Policy:          pol,
+		Policy:          c.pol,
 		Fragile:         c.fragile,
 		NoChaos:         c.noChaos,
 		WriteMean:       c.writeMean,
@@ -303,7 +306,7 @@ func runSync(c *cli, w io.Writer) error {
 	}
 
 	fmt.Fprintf(w, "syncstorm: %d clusters x %d cells x %d devices = %d devices, %d-way replication, policy %s\n",
-		c.gateways, c.cells, c.devices, rep.Devices, c.replicas+1, pol)
+		c.gateways, c.cells, c.devices, rep.Devices, c.replicas+1, c.pol)
 	fmt.Fprintf(w, "writes=%d syncs=%d confirmed=%d overridden=%d\n",
 		rep.Writes, rep.Syncs, rep.Confirmed, rep.Overridden)
 	fmt.Fprintf(w, "conflicts=%d merges=%d duplicates=%d timeouts=%d redirects=%d faults=%d\n",

@@ -47,6 +47,9 @@ func TestRunRejectsBadInputs(t *testing.T) {
 		{[]string{"-scale", "-remote", "2000"}, "-remote must be in 1..1000, got 2000"},
 		{[]string{"-scale", "-duration", "0s"}, "-duration must be > 0, got 0s"},
 		{[]string{"-scale", "-duration", "-1s"}, "-duration must be > 0, got -1s"},
+		// No tier supplies the merge func the merge policy needs.
+		{[]string{"-sync", "-policy", "merge"}, `-policy must be lww, server-wins or fragile, got "merge"`},
+		{[]string{"-sync", "-policy", "bogus"}, `-policy must be lww, server-wins or fragile, got "bogus"`},
 	} {
 		err := run(tc.args, io.Discard)
 		if err == nil {

@@ -51,10 +51,13 @@ func run() error {
 
 	ha := mobileip.NewHomeAgent(home, []byte("home-sa-key"))
 	fa := mobileip.NewForeignAgent(foreign)
-	mip := mobileip.NewClient(handset, mobileip.Config{
+	mip, err := mobileip.NewClient(handset, mobileip.Config{
 		HomeAgent: simnet.Addr{Node: home.ID, Port: mobileip.MobileIPPort},
 		AuthKey:   []byte("home-sa-key"),
 	})
+	if err != nil {
+		return err
+	}
 
 	// The download: 600 KB pushed from the media server.
 	const size = 600 << 10

@@ -146,10 +146,12 @@ func BuildRoamingMC(cfg RoamingMCConfig) (*RoamingMC, error) {
 	// The internet routes the station's address toward its home subnet.
 	r.Router.SetRoute(r.Station.Node().ID, wanH.IfaceA())
 
-	r.MIP = mobileip.NewClient(r.Station.Node(), mobileip.Config{
+	if r.MIP, err = mobileip.NewClient(r.Station.Node(), mobileip.Config{
 		HomeAgent: simnet.Addr{Node: r.HomeGW.ID, Port: mobileip.MobileIPPort},
 		AuthKey:   cfg.AuthKey,
-	})
+	}); err != nil {
+		return nil, err
+	}
 	if r.Stack, err = mtcp.NewStack(r.Station.Node()); err != nil {
 		return nil, err
 	}

@@ -9,7 +9,6 @@ import (
 	"mcommerce/internal/device"
 	"mcommerce/internal/imode"
 	"mcommerce/internal/metrics"
-	"mcommerce/internal/mobiledb"
 	"mcommerce/internal/mtcp"
 	"mcommerce/internal/simnet"
 	"mcommerce/internal/trace"
@@ -36,14 +35,10 @@ type MCConfig struct {
 	// WLANStandard is the Table 4 standard for BearerWLAN (zero value
 	// means 802.11b, the paper's "most popular wireless network").
 	WLANStandard wireless.Standard
-	// WLANConfig overrides the radio model; nil means defaults.
-	WLANConfig *wireless.Config
 	// CellStandard is the Table 5 standard for BearerCellular (zero value
 	// means GPRS). Packet-switched mobiles are attached automatically;
 	// circuit-switched ones must PlaceCall.
 	CellStandard cellular.Standard
-	// CellConfig overrides the cellular model; nil means defaults.
-	CellConfig *cellular.Config
 	// Devices lists the mobile stations; nil means all of Table 2.
 	Devices []device.Profile
 	// DisableWAP / DisableIMode drop one of the two middlewares.
@@ -51,26 +46,23 @@ type MCConfig struct {
 	DisableIMode bool
 	// WAPConfig overrides gateway settings; nil means defaults.
 	WAPConfig *wap.GatewayConfig
-	// IModeConfig overrides portal settings; nil means zero config.
-	IModeConfig *imode.GatewayConfig
-	// WiredLAN and WiredWAN override the wired segments; nil means
-	// simnet.LAN / simnet.WAN.
-	WiredLAN, WiredWAN *simnet.LinkConfig
-	// TokenKey seeds the host's token authority.
-	TokenKey []byte
 	// CC selects the TCP congestion control algorithm for every endpoint
 	// the build creates — host web server, gateways and station stacks
 	// (mtcp.CCReno or mtcp.CCCubic; empty means Reno). An explicit
-	// WAPConfig/IModeConfig TCP.CC wins over this for that gateway.
+	// WAPConfig TCP.CC wins over this for the WAP gateway.
 	CC string
-	// DBReplicas attaches a replicated data tier: that many replica nodes
-	// beside the primary member on the host node (the cluster has
-	// DBReplicas+1 members). Zero means no data tier.
+	// DBReplicas attaches a replicated data tier that resolves device
+	// sync conflicts last-writer-wins: that many replica nodes beside the
+	// primary member on the host node (the cluster has DBReplicas+1
+	// members). Zero means no data tier.
 	DBReplicas int
-	// DBPolicy is the data tier's conflict-resolution rule (zero value is
-	// last-writer-wins). Only meaningful with DBReplicas > 0.
-	DBPolicy mobiledb.Policy
 }
+
+// Token authority keys of the built systems' hosts.
+const (
+	mcTokenKey = "mc-system-token-key"
+	ecTokenKey = "ec-system-token-key"
+)
 
 // MobileClient is one mobile station inside a built MC system, with its
 // bearer attachment and middleware clients.
@@ -162,9 +154,6 @@ func BuildMC(cfg MCConfig) (*MC, error) {
 	if cfg.Devices == nil {
 		cfg.Devices = device.Profiles()
 	}
-	if len(cfg.TokenKey) == 0 {
-		cfg.TokenKey = []byte("mc-system-token-key")
-	}
 
 	mc := &MC{Net: net, Sys: NewSystem(ModelMC)}
 	txn := net.Metrics.Scope("core.txn")
@@ -176,7 +165,7 @@ func BuildMC(cfg MCConfig) (*MC, error) {
 	tcp := mtcp.Options{CC: cfg.CC}
 
 	// Host computers on the wired LAN.
-	host, err := NewHost(net, "host", cfg.TokenKey, tcp)
+	host, err := NewHost(net, "host", []byte(mcTokenKey), tcp)
 	if err != nil {
 		return nil, fmt.Errorf("core: host: %w", err)
 	}
@@ -185,20 +174,8 @@ func BuildMC(cfg MCConfig) (*MC, error) {
 	// Wired networks: LAN between host and router, WAN to the gateway.
 	router := net.NewNode("wired-router")
 	router.Forwarding = true
-	lanCfg := simnet.LAN
-	if cfg.WiredLAN != nil {
-		lanCfg = *cfg.WiredLAN
-	}
-	wanCfg := simnet.WAN
-	if cfg.WiredWAN != nil {
-		wanCfg = *cfg.WiredWAN
-	}
-	if lanCfg.Name == "" {
-		lanCfg.Name = "lan"
-	}
-	if wanCfg.Name == "" {
-		wanCfg.Name = "wan"
-	}
+	lanCfg, wanCfg := simnet.LAN, simnet.WAN
+	lanCfg.Name, wanCfg.Name = "lan", "wan"
 	lan := simnet.Connect(host.Node, router, lanCfg)
 	host.Node.SetDefaultRoute(lan.IfaceA())
 
@@ -217,10 +194,7 @@ func BuildMC(cfg MCConfig) (*MC, error) {
 	// behind the router. Stations reach any member's sync endpoint through
 	// the gateway.
 	if cfg.DBReplicas > 0 {
-		dt, err := BuildDataTier(net, host.Node, router, DataTierConfig{
-			Replicas: cfg.DBReplicas,
-			Policy:   cfg.DBPolicy,
-		})
+		dt, err := BuildDataTier(net, host.Node, router, DataTierConfig{Replicas: cfg.DBReplicas})
 		if err != nil {
 			return nil, fmt.Errorf("core: data tier: %w", err)
 		}
@@ -250,14 +224,7 @@ func BuildMC(cfg MCConfig) (*MC, error) {
 		}
 	}
 	if !cfg.DisableIMode {
-		icfg := imode.GatewayConfig{}
-		if cfg.IModeConfig != nil {
-			icfg = *cfg.IModeConfig
-		}
-		if icfg.TCP.CC == "" {
-			icfg.TCP.CC = cfg.CC
-		}
-		mc.IMode, err = imode.NewGatewayWithStack(gw, gwStack, icfg)
+		mc.IMode, err = imode.NewGatewayWithStack(gw, gwStack, imode.GatewayConfig{TCP: tcp})
 		if err != nil {
 			return nil, fmt.Errorf("core: imode gateway: %w", err)
 		}
@@ -266,18 +233,10 @@ func BuildMC(cfg MCConfig) (*MC, error) {
 	// Wireless networks: the gateway node doubles as AP or base station.
 	switch cfg.Bearer {
 	case BearerWLAN:
-		wcfg := wireless.DefaultConfig()
-		if cfg.WLANConfig != nil {
-			wcfg = *cfg.WLANConfig
-		}
-		mc.WLAN = wireless.NewLAN(net, cfg.WLANStandard, wcfg)
+		mc.WLAN = wireless.NewLAN(net, cfg.WLANStandard, wireless.DefaultConfig())
 		mc.WLAN.AddAP(gw, wireless.Position{})
 	case BearerCellular:
-		ccfg := cellular.DefaultConfig()
-		if cfg.CellConfig != nil {
-			ccfg = *cfg.CellConfig
-		}
-		mc.Cell = cellular.New(net, cfg.CellStandard, ccfg)
+		mc.Cell = cellular.New(net, cfg.CellStandard, cellular.DefaultConfig())
 		mc.Cell.AddCell(gw, wireless.Position{})
 	default:
 		return nil, fmt.Errorf("core: unknown bearer %d", cfg.Bearer)
@@ -424,8 +383,6 @@ type ECConfig struct {
 	Seed int64
 	// Clients is the number of desktop client computers; zero means 3.
 	Clients int
-	// TokenKey seeds the host's token authority.
-	TokenKey []byte
 	// CC selects the TCP congestion control algorithm for the host and
 	// clients (empty means Reno).
 	CC string
@@ -458,14 +415,11 @@ func BuildEC(cfg ECConfig) (*EC, error) {
 	if cfg.Clients <= 0 {
 		cfg.Clients = 3
 	}
-	if len(cfg.TokenKey) == 0 {
-		cfg.TokenKey = []byte("ec-system-token-key")
-	}
 	net := simnet.NewNetwork(simnet.NewScheduler(cfg.Seed))
 	ec := &EC{Net: net, Sys: NewSystem(ModelEC)}
 	ec.txn = net.Metrics.Scope("core.txn").Histogram("ec.latency")
 
-	host, err := NewHost(net, "host", cfg.TokenKey, mtcp.Options{CC: cfg.CC})
+	host, err := NewHost(net, "host", []byte(ecTokenKey), mtcp.Options{CC: cfg.CC})
 	if err != nil {
 		return nil, err
 	}

@@ -36,9 +36,12 @@ func mipRun(seed int64, useMobileIP bool, size int, horizon time.Duration) (comp
 
 	ha := mobileip.NewHomeAgent(home, nil)
 	fa := mobileip.NewForeignAgent(foreign)
-	client := mobileip.NewClient(mob, mobileip.Config{
+	client, err := mobileip.NewClient(mob, mobileip.Config{
 		HomeAgent: simnet.Addr{Node: home.ID, Port: mobileip.MobileIPPort},
 	})
+	if err != nil {
+		return
+	}
 
 	cs := mtcp.MustNewStack(corr)
 	ms := mtcp.MustNewStack(mob)

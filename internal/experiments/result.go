@@ -27,24 +27,14 @@ type Result struct {
 	// They render separately (MetricsTables) so existing result output is
 	// unchanged.
 	Metrics []LabelledSnapshot
-	// SLO holds labelled SLO verdicts attached by AttachSLO, rendered
-	// separately via SLOTables.
-	SLO []LabelledSLO
 }
 
-// LabelledSLO is one run's SLO evaluation attached to a result.
-type LabelledSLO struct {
-	Label     string
-	Intervals []obs.Interval
-}
-
-// AttachSLO attaches a labelled SLO evaluation (obs.Evaluate's output
-// for one run or mode). Per-rule violation counts and total violation
-// time fold into Values under "slo/<label>/<rule>.violations" and
+// AttachSLO folds a labelled SLO evaluation (obs.Evaluate's output for
+// one run or mode) into Values: per-rule violation counts and total
+// violation time go under "slo/<label>/<rule>.violations" and
 // "…/<rule>.burn_ns", so assertions can gate on SLO health like any
 // other measurement.
 func (r *Result) AttachSLO(label string, intervals []obs.Interval) {
-	r.SLO = append(r.SLO, LabelledSLO{Label: label, Intervals: intervals})
 	byRule := map[string]struct {
 		n    int
 		burn time.Duration
@@ -60,41 +50,6 @@ func (r *Result) AttachSLO(label string, intervals []obs.Interval) {
 		r.Set(key+".violations", float64(agg.n))
 		r.Set(key+".burn_ns", float64(agg.burn))
 	}
-}
-
-// SLOViolations totals the attached violation intervals under a label
-// ("" sums every label).
-func (r *Result) SLOViolations(label string) int {
-	n := 0
-	for _, ls := range r.SLO {
-		if label == "" || ls.Label == label {
-			n += len(ls.Intervals)
-		}
-	}
-	return n
-}
-
-// SLOTables renders each attached SLO evaluation as its own result
-// table: one row per violation interval, or a single "all SLOs held"
-// note row when the run was clean.
-func (r *Result) SLOTables() []*Result {
-	var out []*Result
-	for _, ls := range r.SLO {
-		t := newResult(r.Name+"-slo", "SLO verdicts: "+ls.Label,
-			"rule", "series", "start", "end", "duration", "state")
-		if len(ls.Intervals) == 0 {
-			t.Note("all SLOs held")
-		}
-		for _, iv := range ls.Intervals {
-			state := "resolved"
-			if !iv.Resolved {
-				state = "firing at end"
-			}
-			t.AddRow(iv.Rule, iv.Series, fmtDur(iv.Start), fmtDur(iv.End), fmtDur(iv.End-iv.Start), state)
-		}
-		out = append(out, t)
-	}
-	return out
 }
 
 // LabelledSnapshot is one labelled registry reading attached to a result —

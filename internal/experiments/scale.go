@@ -11,29 +11,31 @@ import (
 // The scale experiment exercises the sharded executor at population
 // sizes the full-fidelity deployments cannot reach: G gateway clusters,
 // each a host plus C cell aggregator nodes carrying S virtual stations
-// apiece (workload.Flows). Cell uplinks are sub-millisecond, so the
-// partition planner welds each cluster into one component; the
+// apiece (workload.Flows). Cluster c runs on shard c, so the
 // inter-cluster backbone ring is the cut set and its delay the
 // lookahead. A configurable per-mille of every cell's stations target
 // the next cluster's host, keeping the backbone (and the cross-shard
 // machinery) under continuous load.
 
-// Link profiles of the scale topology. The uplink delay sits below the
-// planner's contraction floor on purpose; the backbone delay is the
-// conservative window.
+// Link profiles of the scale topology. The uplinks stay inside a
+// cluster's shard; the backbone delay is the conservative window.
 var (
 	scaleUplink   = simnet.LinkConfig{Rate: 10 * simnet.Mbps, Delay: 500 * time.Microsecond, QueueLen: 256}
 	scaleBackbone = simnet.LinkConfig{Rate: 1 * simnet.Gbps, Delay: 10 * time.Millisecond, QueueLen: 1024}
 )
 
+// Payload sizes of one virtual-station exchange.
+const (
+	scaleReqBytes  = 256
+	scaleRespBytes = 1024
+)
+
 // ScaleConfig sizes a scale world. Zero fields take defaults.
 type ScaleConfig struct {
 	Seed            int64
-	Gateways        int // clusters (default 4)
+	Gateways        int // clusters, one shard each (default 4)
 	CellsPerGateway int // aggregator nodes per cluster (default 2)
 	StationsPerCell int // virtual stations per cell (default 50, < 64000)
-	// MaxShards caps the planner (0 = one shard per cluster).
-	MaxShards int
 	// RemotePerMille of each cell's stations target the next cluster's
 	// host instead of the local one (default 200).
 	RemotePerMille int
@@ -41,8 +43,6 @@ type ScaleConfig struct {
 	Timeout        time.Duration // default 10s
 	Duration       time.Duration // virtual horizon (default 30s)
 	Workers        int           // worker lanes for Run (default 1)
-	ReqBytes       int           // default 256
-	RespBytes      int           // default 1024
 }
 
 func (c *ScaleConfig) defaults() {
@@ -54,9 +54,6 @@ func (c *ScaleConfig) defaults() {
 	}
 	if c.StationsPerCell <= 0 {
 		c.StationsPerCell = 50
-	}
-	if c.MaxShards <= 0 {
-		c.MaxShards = c.Gateways
 	}
 	if c.RemotePerMille < 0 || c.RemotePerMille > 1000 {
 		c.RemotePerMille = 200
@@ -75,29 +72,21 @@ func (c *ScaleConfig) defaults() {
 	if c.Workers <= 0 {
 		c.Workers = 1
 	}
-	if c.ReqBytes <= 0 {
-		c.ReqBytes = 256
-	}
-	if c.RespBytes <= 0 {
-		c.RespBytes = 1024
-	}
 }
 
 // ScaleWorld is a built scale topology, ready to run.
 type ScaleWorld struct {
 	Cfg   ScaleConfig
 	World *simnet.Sharded
-	Plan  simnet.PartitionPlan
 	Hosts []*simnet.Node
 	Echos []*workload.Echo
 	Cells [][]*simnet.Node
 	Flows [][]*workload.Flows
 }
 
-// BuildScale builds the world: topology description first, auto
-// partition (no pins — the planner discovers cluster boundaries from
-// the link delays), then nodes on their assigned shards, Connect for
-// intra-shard links and Cross for cut links.
+// BuildScale builds the world: cluster c (its host and cells) on shard
+// c, Connect for the intra-cluster uplinks and Cross for the backbone
+// ring between clusters.
 func BuildScale(cfg ScaleConfig) (*ScaleWorld, error) {
 	cfg.defaults()
 	G, C, S := cfg.Gateways, cfg.CellsPerGateway, cfg.StationsPerCell
@@ -108,41 +97,23 @@ func BuildScale(cfg ScaleConfig) (*ScaleWorld, error) {
 	hostKey := func(c int) string { return fmt.Sprintf("host%d", c) }
 	cellKey := func(c, j int) string { return fmt.Sprintf("cell%d.%d", c, j) }
 
-	var tnodes []simnet.TopoNode
-	var tlinks []simnet.TopoLink
-	for c := 0; c < G; c++ {
-		tnodes = append(tnodes, simnet.TopoNode{Key: hostKey(c), Weight: 1})
-		for j := 0; j < C; j++ {
-			tnodes = append(tnodes, simnet.TopoNode{Key: cellKey(c, j), Weight: S})
-			tlinks = append(tlinks, simnet.TopoLink{A: cellKey(c, j), B: hostKey(c), Delay: scaleUplink.Delay})
-		}
-	}
-	ringPairs := ringLinks(G)
-	for _, p := range ringPairs {
-		tlinks = append(tlinks, simnet.TopoLink{A: hostKey(p[0]), B: hostKey(p[1]), Delay: scaleBackbone.Delay})
-	}
-	plan, err := simnet.PlanPartition(tnodes, tlinks, cfg.MaxShards)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: scale partition: %w", err)
-	}
+	w := simnet.NewSharded(cfg.Seed, G)
+	sw := &ScaleWorld{Cfg: cfg, World: w}
 
-	w := simnet.NewSharded(cfg.Seed, plan.NumShards)
-	sw := &ScaleWorld{Cfg: cfg, World: w, Plan: plan}
-
-	// Nodes, in deterministic global order, each on its planned shard.
+	// Nodes, in deterministic global order, each on its cluster's shard.
 	sw.Hosts = make([]*simnet.Node, G)
 	sw.Cells = make([][]*simnet.Node, G)
 	for c := 0; c < G; c++ {
-		host := w.Shard(plan.ShardFor(hostKey(c))).NewNode(hostKey(c))
+		host := w.Shard(c).NewNode(hostKey(c))
 		host.Forwarding = true
 		sw.Hosts[c] = host
 		sw.Cells[c] = make([]*simnet.Node, C)
 		for j := 0; j < C; j++ {
-			sw.Cells[c][j] = w.Shard(plan.ShardFor(cellKey(c, j))).NewNode(cellKey(c, j))
+			sw.Cells[c][j] = w.Shard(c).NewNode(cellKey(c, j))
 		}
 	}
 
-	// Uplinks. The planner contracted them, so both ends share a shard.
+	// Uplinks, inside each cluster's shard.
 	for c := 0; c < G; c++ {
 		for j := 0; j < C; j++ {
 			up := scaleUplink
@@ -153,27 +124,9 @@ func BuildScale(cfg ScaleConfig) (*ScaleWorld, error) {
 		}
 	}
 
-	// Backbone ring: Cross when the planner cut the link, Connect when it
-	// packed both clusters onto one shard. ifaceOf[c][m] is host c's
-	// interface toward neighbour m.
-	ifaceOf := make([]map[int]*simnet.Iface, G)
-	for c := range ifaceOf {
-		ifaceOf[c] = make(map[int]*simnet.Iface)
-	}
-	for _, p := range ringPairs {
-		a, bn := p[0], p[1]
-		bbcfg := scaleBackbone
-		bbcfg.Name = fmt.Sprintf("bb-%d-%d", a, bn)
-		if plan.ShardFor(hostKey(a)) == plan.ShardFor(hostKey(bn)) {
-			l := simnet.Connect(sw.Hosts[a], sw.Hosts[bn], bbcfg)
-			ifaceOf[a][bn], ifaceOf[bn][a] = l.IfaceA(), l.IfaceB()
-		} else {
-			l, err := w.Cross(sw.Hosts[a], sw.Hosts[bn], bbcfg)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: backbone %d-%d: %w", a, bn, err)
-			}
-			ifaceOf[a][bn], ifaceOf[bn][a] = l.IfaceA(), l.IfaceB()
-		}
+	ifaceOf, err := crossRing(w, sw.Hosts, scaleBackbone, "bb-%d-%d")
+	if err != nil {
+		return nil, err
 	}
 
 	// Remote routing: cluster c's stations only ever target cluster
@@ -193,7 +146,7 @@ func BuildScale(cfg ScaleConfig) (*ScaleWorld, error) {
 	sw.Echos = make([]*workload.Echo, G)
 	sw.Flows = make([][]*workload.Flows, G)
 	for c := 0; c < G; c++ {
-		e, err := workload.ServeEcho(sw.Hosts[c], hostKey(c), cfg.RespBytes)
+		e, err := workload.ServeEcho(sw.Hosts[c], hostKey(c), scaleRespBytes)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: echo %d: %w", c, err)
 		}
@@ -217,7 +170,7 @@ func BuildScale(cfg ScaleConfig) (*ScaleWorld, error) {
 					return local
 				},
 				ThinkMean: cfg.ThinkMean,
-				ReqBytes:  cfg.ReqBytes,
+				ReqBytes:  scaleReqBytes,
 				Timeout:   cfg.Timeout,
 			})
 			if err != nil {
@@ -229,20 +182,31 @@ func BuildScale(cfg ScaleConfig) (*ScaleWorld, error) {
 	return sw, nil
 }
 
-// ringLinks returns the backbone pairs for G clusters: a chain for two,
-// a ring for three or more.
-func ringLinks(G int) [][2]int {
-	var out [][2]int
-	switch {
-	case G < 2:
-	case G == 2:
-		out = append(out, [2]int{0, 1})
-	default:
-		for c := 0; c < G; c++ {
-			out = append(out, [2]int{c, (c + 1) % G})
-		}
+// crossRing joins the cluster hosts, one per shard, with cross-shard
+// backbone links: a chain for two clusters, a ring for three or more,
+// none for one. Each link is named by nameFmt over its two cluster
+// indices. ifaceOf[c][m] is host c's interface toward neighbour m.
+func crossRing(w *simnet.Sharded, hosts []*simnet.Node, bb simnet.LinkConfig, nameFmt string) ([]map[int]*simnet.Iface, error) {
+	G := len(hosts)
+	ifaceOf := make([]map[int]*simnet.Iface, G)
+	for c := range ifaceOf {
+		ifaceOf[c] = make(map[int]*simnet.Iface)
 	}
-	return out
+	links := G
+	if G < 3 {
+		links = G - 1
+	}
+	for a := 0; a < links; a++ {
+		b := (a + 1) % G
+		lcfg := bb
+		lcfg.Name = fmt.Sprintf(nameFmt, a, b)
+		l, err := w.Cross(hosts[a], hosts[b], lcfg)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: backbone %s: %w", lcfg.Name, err)
+		}
+		ifaceOf[a][b], ifaceOf[b][a] = l.IfaceA(), l.IfaceB()
+	}
+	return ifaceOf, nil
 }
 
 // Stations returns the total virtual-station population.
@@ -262,7 +226,7 @@ func (sw *ScaleWorld) Run() (*ScaleReport, error) {
 func (sw *ScaleWorld) Report() *ScaleReport {
 	r := &ScaleReport{
 		Stations: sw.Stations(),
-		Shards:   sw.Plan.NumShards,
+		Shards:   sw.World.NumShards(),
 		Executed: sw.World.Executed(),
 		Clusters: make([]ScaleCluster, sw.Cfg.Gateways),
 	}

@@ -50,9 +50,6 @@ type SyncStormConfig struct {
 	SharedKeys int           // hot shared keys per tier (default 8)
 
 	Duration time.Duration // chaos + load horizon (default 40s)
-	// ConvergeGrace bounds the post-horizon wait for tier convergence
-	// (default 30s).
-	ConvergeGrace time.Duration
 
 	Workers int  // worker lanes (default 1; any value, same bytes)
 	NoChaos bool // skip the fault plan (calibration runs)
@@ -91,9 +88,6 @@ func (c *SyncStormConfig) defaults() {
 	}
 	if c.Duration <= 0 {
 		c.Duration = 40 * time.Second
-	}
-	if c.ConvergeGrace <= 0 {
-		c.ConvergeGrace = 30 * time.Second
 	}
 	if c.Workers <= 0 {
 		c.Workers = 1
@@ -171,20 +165,9 @@ func BuildSyncStorm(cfg SyncStormConfig) (*SyncStormWorld, error) {
 		}
 	}
 
-	// Backbone ring, crossing shard boundaries.
-	ifaceOf := make([]map[int]*simnet.Iface, G)
-	for c := range ifaceOf {
-		ifaceOf[c] = make(map[int]*simnet.Iface)
-	}
-	for _, p := range ringLinks(G) {
-		a, b := p[0], p[1]
-		bb := stormBackbone
-		bb.Name = fmt.Sprintf("storm-bb%d-%d", a, b)
-		l, err := w.Cross(sw.Hosts[a], sw.Hosts[b], bb)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: storm backbone %d-%d: %w", a, b, err)
-		}
-		ifaceOf[a][b], ifaceOf[b][a] = l.IfaceA(), l.IfaceB()
+	ifaceOf, err := crossRing(w, sw.Hosts, stormBackbone, "storm-bb%d-%d")
+	if err != nil {
+		return nil, err
 	}
 	// Remote-sync routing: cluster c's devices only ever reach the next
 	// cluster's tier, so host c routes toward next's host and members, and
@@ -296,6 +279,9 @@ type SyncStormReport struct {
 // Lost is the lost-update total — zero under resilient policies.
 func (r *SyncStormReport) Lost() uint64 { return r.LostDevice + r.BlindOverwrites }
 
+// stormConvergeGrace bounds the post-horizon wait for tier convergence.
+const stormConvergeGrace = 30 * time.Second
+
 // Run executes the horizon, then steps until every tier converged (or the
 // grace window expires), and reports.
 func (sw *SyncStormWorld) Run() (*SyncStormReport, error) {
@@ -305,7 +291,7 @@ func (sw *SyncStormWorld) Run() (*SyncStormReport, error) {
 	}
 	rep := &SyncStormReport{Devices: sw.Devices(), Shards: cfg.Gateways, ConvergeAfter: -1}
 	const step = 250 * time.Millisecond
-	for waited := time.Duration(0); waited <= cfg.ConvergeGrace; waited += step {
+	for waited := time.Duration(0); waited <= stormConvergeGrace; waited += step {
 		if sw.converged() {
 			rep.Converged = true
 			rep.ConvergeAfter = waited

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"mcommerce/internal/core"
-	"mcommerce/internal/device"
 )
 
 // Table2 reproduces "Some major mobile stations": the five device rows,
@@ -71,6 +70,3 @@ func Table2(seed int64, opts Options) *Result {
 	res.Note("render time scales inversely with the processor clock; Palm OS devices drain at half the rate of rivals (Section 4.1)")
 	return res
 }
-
-// Table2Profiles returns the raw registry rows (used by docs and tests).
-func Table2Profiles() []device.Profile { return device.Profiles() }

@@ -104,18 +104,6 @@ func (p *Plan) Sort() {
 	sort.SliceStable(p.Events, func(i, j int) bool { return p.Events[i].At < p.Events[j].At })
 }
 
-// Horizon returns the time the last heal completes (or the last apply, for
-// permanent events).
-func (p *Plan) Horizon() time.Duration {
-	var h time.Duration
-	for _, e := range p.Events {
-		if end := e.At + e.Duration; end > h {
-			h = end
-		}
-	}
-	return h
-}
-
 // String renders the plan one event per line, in event order — the
 // deterministic form reports embed.
 func (p *Plan) String() string {
@@ -139,11 +127,13 @@ type RandomConfig struct {
 	MinDuration, MaxDuration time.Duration
 	// Links, Ifaces, Nodes and Cuts list candidate targets per kind.
 	Links, Ifaces, Nodes, Cuts []string
-	// BrownoutRateFactor and BrownoutExtraLoss parameterize drawn
-	// brownouts. Defaults: 0.1 and 0.2.
-	BrownoutRateFactor float64
-	BrownoutExtraLoss  float64
 }
+
+// The degradation every drawn brownout applies.
+const (
+	randomBrownoutRateFactor = 0.1
+	randomBrownoutExtraLoss  = 0.2
+)
 
 // RandomPlan draws a seeded-random plan: same seed and config, same plan,
 // byte for byte. Events come out sorted by apply time.
@@ -157,12 +147,6 @@ func RandomPlan(seed int64, cfg RandomConfig) *Plan {
 		if cfg.MaxDuration < cfg.MinDuration {
 			cfg.MaxDuration = cfg.MinDuration
 		}
-	}
-	if cfg.BrownoutRateFactor <= 0 {
-		cfg.BrownoutRateFactor = 0.1
-	}
-	if cfg.BrownoutExtraLoss <= 0 {
-		cfg.BrownoutExtraLoss = 0.2
 	}
 	// The kind menu is fixed-order, so draws are reproducible.
 	type choice struct {
@@ -199,8 +183,8 @@ func RandomPlan(seed int64, cfg RandomConfig) *Plan {
 			Target:   c.targets[rng.Intn(len(c.targets))],
 		}
 		if e.Kind == Brownout {
-			e.RateFactor = cfg.BrownoutRateFactor
-			e.ExtraLoss = cfg.BrownoutExtraLoss
+			e.RateFactor = randomBrownoutRateFactor
+			e.ExtraLoss = randomBrownoutExtraLoss
 		}
 		p.Add(e)
 	}

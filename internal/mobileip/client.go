@@ -61,8 +61,9 @@ type pendingReg struct {
 	to      simnet.Addr
 }
 
-// NewClient creates a Mobile IP client on the mobile's node.
-func NewClient(node *simnet.Node, cfg Config) *Client {
+// NewClient creates a Mobile IP client on the mobile's node. It fails
+// when the node has no free ephemeral port for registration replies.
+func NewClient(node *simnet.Node, cfg Config) (*Client, error) {
 	if cfg.Lifetime <= 0 {
 		cfg.Lifetime = DefaultLifetime
 	}
@@ -73,8 +74,12 @@ func NewClient(node *simnet.Node, cfg Config) *Client {
 		cfg.MaxRetries = 3
 	}
 	c := &Client{node: node, cfg: cfg, pending: make(map[uint64]*pendingReg)}
-	c.port = simnet.UDPOf(node).ListenAny(c.onReply)
-	return c
+	port, err := simnet.UDPOf(node).ListenAny(c.onReply)
+	if err != nil {
+		return nil, err
+	}
+	c.port = port
+	return c, nil
 }
 
 // Node returns the mobile's node.

@@ -46,7 +46,7 @@ func newRoamTopo(t testing.TB, authKey []byte, clientKey []byte) *roamTopo {
 
 	ha := mobileip.NewHomeAgent(home, authKey)
 	fa := mobileip.NewForeignAgent(foreign)
-	client := mobileip.NewClient(mob, mobileip.Config{
+	client := mustClient(t, mob, mobileip.Config{
 		HomeAgent: simnet.Addr{Node: home.ID, Port: mobileip.MobileIPPort},
 		AuthKey:   clientKey,
 	})
@@ -218,7 +218,7 @@ func TestAuthenticationAcceptsMatchingKey(t *testing.T) {
 
 func TestBindingLifetimeExpires(t *testing.T) {
 	r := newRoamTopo(t, nil, nil)
-	r.client = mobileip.NewClient(r.mob, mobileip.Config{
+	r.client = mustClient(t, r.mob, mobileip.Config{
 		HomeAgent: simnet.Addr{Node: r.home.ID, Port: mobileip.MobileIPPort},
 		Lifetime:  2 * time.Second,
 	})
@@ -241,7 +241,7 @@ func TestRegistrationTimesOutWithoutAgents(t *testing.T) {
 	net := simnet.NewNetwork(simnet.NewScheduler(1))
 	mob := net.NewNode("mobile")
 	// No links at all: requests go nowhere.
-	client := mobileip.NewClient(mob, mobileip.Config{
+	client := mustClient(t, mob, mobileip.Config{
 		HomeAgent:     simnet.Addr{Node: 99, Port: mobileip.MobileIPPort},
 		RetryInterval: 100 * time.Millisecond,
 		MaxRetries:    2,
@@ -287,7 +287,7 @@ func TestTCPSurvivesRoaming(t *testing.T) {
 
 	ha := mobileip.NewHomeAgent(home, nil)
 	fa := mobileip.NewForeignAgent(foreign)
-	client := mobileip.NewClient(mob, mobileip.Config{
+	client := mustClient(t, mob, mobileip.Config{
 		HomeAgent: simnet.Addr{Node: home.ID, Port: mobileip.MobileIPPort},
 	})
 
@@ -333,4 +333,14 @@ func TestTCPSurvivesRoaming(t *testing.T) {
 		t.Error("no packets were tunneled — mobility never engaged")
 	}
 	_ = lBack
+}
+
+// mustClient is mobileip.NewClient for nodes with free ephemeral ports.
+func mustClient(t testing.TB, nd *simnet.Node, cfg mobileip.Config) *mobileip.Client {
+	t.Helper()
+	c, err := mobileip.NewClient(nd, cfg)
+	if err != nil {
+		t.Fatalf("NewClient: %v", err)
+	}
+	return c
 }

@@ -25,9 +25,9 @@
 //
 // For worlds too large for one core, Sharded runs several Networks — one
 // per topology shard — under a conservative time-window protocol
-// (PlanPartition derives the shards from the link topology; CrossLink
-// carries packets between them, and the smallest cross-link delay is
-// the window width). Each shard keeps the single-goroutine ownership
+// (builders place each node on a shard; CrossLink carries packets
+// between shards, and the smallest cross-link delay is the window
+// width). Each shard keeps the single-goroutine ownership
 // story above: within a window exactly one goroutine drives a shard's
 // scheduler, registry, tracer and pools, and a shared scoreboard orders
 // each shard's windows after the ring drains they depend on. Execution is

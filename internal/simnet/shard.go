@@ -250,14 +250,6 @@ func (w *Sharded) WheelStats() (cascades, overflowMigrations uint64) {
 // links on it directly.
 func (w *Sharded) Shard(k int) *Network { return w.shards[k] }
 
-// ShardOf returns the shard index owning net (-1 if foreign).
-func (w *Sharded) ShardOf(net *Network) int {
-	if k, ok := w.shardOf[net]; ok {
-		return int(k)
-	}
-	return -1
-}
-
 // Now returns the world's virtual time: the horizon every shard has
 // reached (after a clean run, the deadline; after a stop, the earliest
 // point any shard froze at).

@@ -41,9 +41,12 @@ func heteroRing(tb testing.TB, rounds int) *ringWorld {
 		}); err != nil {
 			tb.Fatal(err)
 		}
-		replyPort := u.ListenAny(func(from Addr, body any, bytes int) {
+		replyPort, err := u.ListenAny(func(from Addr, body any, bytes int) {
 			rw.got[k]++
 		})
+		if err != nil {
+			tb.Fatal(err)
+		}
 		sched := nd.Sched()
 		dst := Addr{Node: rw.nodes[next].ID, Port: echoPort}
 		for i := 0; i < rounds; i++ {

@@ -50,7 +50,10 @@ func buildSweepWorld(tb testing.TB, shards int, churnEvery time.Duration) *Shard
 		}); err != nil {
 			tb.Fatal(err)
 		}
-		port := u.ListenAny(func(from Addr, body any, bytes int) { st[k].got++ })
+		port, err := u.ListenAny(func(from Addr, body any, bytes int) { st[k].got++ })
+		if err != nil {
+			tb.Fatal(err)
+		}
 		sched := nd.Sched()
 		dst := Addr{Node: nodes[next].ID, Port: echoPort}
 		var churn func()

@@ -58,9 +58,12 @@ func buildRingWorld(tb testing.TB, shards, rounds int, cfg LinkConfig) *ringWorl
 		}); err != nil {
 			tb.Fatal(err)
 		}
-		replyPort := u.ListenAny(func(from Addr, body any, bytes int) {
+		replyPort, err := u.ListenAny(func(from Addr, body any, bytes int) {
 			rw.got[k]++
 		})
+		if err != nil {
+			tb.Fatal(err)
+		}
 		sched := nd.Sched()
 		tracer := rw.w.Shard(k).Tracer
 		dst := Addr{Node: rw.nodes[next].ID, Port: echoPort}
@@ -211,7 +214,10 @@ func TestWrapNetworkMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		ua := UDPOf(a)
-		port := ua.ListenAny(func(from Addr, body any, bytes int) {})
+		port, err := ua.ListenAny(func(from Addr, body any, bytes int) {})
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := 0; i < 40; i++ {
 			i := i
 			net.Sched.At(time.Duration(i)*5*time.Millisecond, func() {

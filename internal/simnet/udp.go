@@ -1,6 +1,9 @@
 package simnet
 
-import "fmt"
+import (
+	"errors"
+	"fmt"
+)
 
 // Simulated header overheads, charged on top of payload sizes.
 const (
@@ -11,6 +14,16 @@ const (
 
 // DatagramHandler consumes datagrams delivered to a bound port.
 type DatagramHandler func(from Addr, body any, bytes int)
+
+// The ephemeral port range ListenAny draws from: 49152–65535.
+const (
+	firstEphemeral Port = 49152
+	numEphemeral        = 1<<16 - int(firstEphemeral)
+)
+
+// ErrNoEphemeralPort reports that every port of the ephemeral range is
+// bound on the node.
+var ErrNoEphemeralPort = errors.New("udp: no free ephemeral port")
 
 // UDP is a per-node datagram demultiplexer: the simulated equivalent of the
 // UDP stack. WTP (the WAP transaction layer) and Mobile IP registration run
@@ -25,7 +38,7 @@ type UDP struct {
 // use.
 func UDPOf(nd *Node) *UDP {
 	if nd.udp == nil {
-		u := &UDP{node: nd, ports: make(map[Port]DatagramHandler), next: 49152}
+		u := &UDP{node: nd, ports: make(map[Port]DatagramHandler), next: firstEphemeral}
 		nd.udp = u
 		nd.Bind(ProtoUDP, u.deliver)
 	}
@@ -43,17 +56,20 @@ func (u *UDP) Listen(port Port, h DatagramHandler) error {
 }
 
 // ListenAny binds a handler to a fresh ephemeral port and returns it.
-func (u *UDP) ListenAny(h DatagramHandler) Port {
-	for {
+// It scans the range once, round-robin from the last port it handed
+// out, and fails with ErrNoEphemeralPort when every port is bound.
+func (u *UDP) ListenAny(h DatagramHandler) (Port, error) {
+	for range numEphemeral {
 		u.next++
 		if u.next == 0 {
-			u.next = 49152
+			u.next = firstEphemeral
 		}
 		if _, ok := u.ports[u.next]; !ok {
 			u.ports[u.next] = h
-			return u.next
+			return u.next, nil
 		}
 	}
+	return 0, fmt.Errorf("%w on %s", ErrNoEphemeralPort, u.node)
 }
 
 // Close releases a bound port.

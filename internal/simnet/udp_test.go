@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"errors"
 	"testing"
 	"time"
 )
@@ -16,9 +17,12 @@ func TestUDPRoundTrip(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
-	client := ua.ListenAny(func(from Addr, body any, bytes int) {
+	client, err := ua.ListenAny(func(from Addr, body any, bytes int) {
 		reply, _ = body.(string)
 	})
+	if err != nil {
+		t.Fatalf("ListenAny: %v", err)
+	}
 	ua.Send(client, Addr{Node: b.ID, Port: 7}, "ping", 4)
 
 	if err := net.Sched.Run(); err != nil {
@@ -50,7 +54,10 @@ func TestUDPEphemeralPortsDistinct(t *testing.T) {
 	u := UDPOf(net.NewNode("a"))
 	seen := make(map[Port]bool)
 	for i := 0; i < 100; i++ {
-		p := u.ListenAny(func(Addr, any, int) {})
+		p, err := u.ListenAny(func(Addr, any, int) {})
+		if err != nil {
+			t.Fatalf("ListenAny: %v", err)
+		}
 		if seen[p] {
 			t.Fatalf("duplicate ephemeral port %d", p)
 		}
@@ -95,5 +102,30 @@ func TestUDPOfIsIdempotent(t *testing.T) {
 	a := net.NewNode("a")
 	if UDPOf(a) != UDPOf(a) {
 		t.Error("UDPOf returned different stacks for the same node")
+	}
+}
+
+// TestUDPEphemeralPortsExhausted binds every port of the ephemeral range
+// (49152–65535): the next ListenAny must fail with ErrNoEphemeralPort
+// instead of scanning forever, and a port released by Close must be
+// handed out again.
+func TestUDPEphemeralPortsExhausted(t *testing.T) {
+	net := NewNetwork(NewScheduler(1))
+	u := UDPOf(net.NewNode("a"))
+	h := func(Addr, any, int) {}
+	for i := 0; i < 1<<16-49152; i++ {
+		if _, err := u.ListenAny(h); err != nil {
+			t.Fatalf("ListenAny %d: %v", i, err)
+		}
+	}
+	if p, err := u.ListenAny(h); !errors.Is(err, ErrNoEphemeralPort) {
+		t.Fatalf("ListenAny on a full range = %d, %v; want ErrNoEphemeralPort", p, err)
+	}
+	u.Close(50000)
+	if p, err := u.ListenAny(h); err != nil || p != 50000 {
+		t.Fatalf("ListenAny after Close(50000) = %d, %v; want 50000", p, err)
+	}
+	if p, err := u.ListenAny(h); !errors.Is(err, ErrNoEphemeralPort) {
+		t.Fatalf("ListenAny on a full range again = %d, %v; want ErrNoEphemeralPort", p, err)
 	}
 }

@@ -85,7 +85,12 @@ func ConnectSecure(node *simnet.Node, gateway simnet.Addr, cfg WTPConfig, accept
 		done(nil, err)
 		return
 	}
-	s := &Session{wtp: NewWTPAny(node, cfg), gateway: gateway}
+	wtp, err := newWTPAny(node, cfg)
+	if err != nil {
+		done(nil, err)
+		return
+	}
+	s := &Session{wtp: wtp, gateway: gateway}
 	req := &wspConnect{Accept: accept, Hello: &hello}
 	s.wtp.Invoke(gateway, req, pduBytes(req), func(result any, _ int, err error) {
 		if err != nil {

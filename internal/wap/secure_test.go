@@ -229,3 +229,28 @@ func TestSecureOverheadVisibleOnAir(t *testing.T) {
 		t.Errorf("secure air bytes %d not above plaintext %d", sec, plain)
 	}
 }
+
+// TestConnectWithoutEphemeralPortFails fills the mobile's ephemeral port
+// range: Connect and ConnectSecure must report ErrNoEphemeralPort to
+// their callback instead of building a session.
+func TestConnectWithoutEphemeralPortFails(t *testing.T) {
+	psk := []byte("port-key")
+	w := newWAPTopo(t, 36, 0, secureGatewayCfg(psk, false))
+	u := simnet.UDPOf(w.mobile)
+	for {
+		if _, err := u.ListenAny(func(simnet.Addr, any, int) {}); err != nil {
+			break
+		}
+	}
+	var plainErr, secureErr error
+	wap.Connect(w.mobile, w.gateway.Addr(), wap.WTPConfig{}, nil,
+		func(s *wap.Session, err error) { plainErr = err })
+	wap.ConnectSecure(w.mobile, w.gateway.Addr(), wap.WTPConfig{}, nil, psk,
+		func(s *wap.Session, err error) { secureErr = err })
+	if !errors.Is(plainErr, simnet.ErrNoEphemeralPort) {
+		t.Errorf("Connect err = %v, want ErrNoEphemeralPort", plainErr)
+	}
+	if !errors.Is(secureErr, simnet.ErrNoEphemeralPort) {
+		t.Errorf("ConnectSecure err = %v, want ErrNoEphemeralPort", secureErr)
+	}
+}

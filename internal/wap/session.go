@@ -35,7 +35,12 @@ func Connect(node *simnet.Node, gateway simnet.Addr, cfg WTPConfig, accept []str
 	if accept == nil {
 		accept = []string{"application/vnd.wap.wmlc", "text/vnd.wap.wml"}
 	}
-	s := &Session{wtp: NewWTPAny(node, cfg), gateway: gateway}
+	wtp, err := newWTPAny(node, cfg)
+	if err != nil {
+		done(nil, err)
+		return
+	}
+	s := &Session{wtp: wtp, gateway: gateway}
 	s.wtp.Invoke(gateway, &wspConnect{Accept: accept}, pduBytes(&wspConnect{Accept: accept}),
 		func(result any, _ int, err error) {
 			if err != nil {

@@ -162,8 +162,19 @@ func NewWTP(node *simnet.Node, port simnet.Port, cfg WTPConfig) (*WTP, error) {
 	return w, nil
 }
 
-// NewWTPAny binds to an ephemeral port (client side).
+// NewWTPAny binds to an ephemeral port (client side). It panics when the
+// node has no free ephemeral port (simnet.ErrNoEphemeralPort); Connect
+// and ConnectSecure report that case to their callback instead.
 func NewWTPAny(node *simnet.Node, cfg WTPConfig) *WTP {
+	w, err := newWTPAny(node, cfg)
+	if err != nil {
+		panic(err)
+	}
+	return w
+}
+
+// newWTPAny binds to an ephemeral port, failing when none is free.
+func newWTPAny(node *simnet.Node, cfg WTPConfig) (*WTP, error) {
 	w := &WTP{
 		node:       node,
 		cfg:        cfg.withDefaults(),
@@ -172,9 +183,13 @@ func NewWTPAny(node *simnet.Node, cfg WTPConfig) *WTP {
 		assemblies: make(map[sarGroupKey]*sarAssembly),
 		sarSends:   make(map[sarGroupKey]*sarSendState),
 	}
-	w.port = simnet.UDPOf(node).ListenAny(w.deliver)
+	port, err := simnet.UDPOf(node).ListenAny(w.deliver)
+	if err != nil {
+		return nil, err
+	}
+	w.port = port
 	w.registerMetrics()
-	return w
+	return w, nil
 }
 
 // registerMetrics aliases the endpoint's counters into the world registry

@@ -24,6 +24,17 @@ import (
 // self-heals through the sync response's invalidation replay instead.
 const syncRingMax = 1024
 
+// Device write and session shape.
+const (
+	// syncValueBytes pads each written value to this size.
+	syncValueBytes = 32
+	// syncRetryDelay paces redirect-driven resends.
+	syncRetryDelay = 250 * time.Millisecond
+	// syncBatchAll bounds writes per session: 0 uploads every pending
+	// write.
+	syncBatchAll = 0
+)
+
 // SyncFlowConfig parameterizes a cell's virtual device population.
 type SyncFlowConfig struct {
 	// Devices is the number of virtual devices on this cell.
@@ -44,16 +55,10 @@ type SyncFlowConfig struct {
 	// SharedPct is the percentage of writes aimed at a shared key
 	// (default 30 when SharedKeys > 0).
 	SharedPct int
-	// ValueBytes pads each written value to this size (default 32).
-	ValueBytes int
 	// Timeout abandons a sync session: the device aborts (resilient) or
 	// drops its tentative writes (Fragile), rotates its target and moves
 	// on.
 	Timeout time.Duration
-	// RetryDelay paces redirect-driven resends (default 250ms).
-	RetryDelay time.Duration
-	// MaxBatch bounds writes per session (0 = all pending).
-	MaxBatch int
 	// Fragile selects the rollback-on-reconnect baseline: a timed-out
 	// session discards its tentative writes outright.
 	Fragile bool
@@ -128,14 +133,8 @@ func NewSyncFlows(nd *simnet.Node, name string, cfg SyncFlowConfig) (*SyncFlows,
 	if cfg.SharedPct <= 0 {
 		cfg.SharedPct = 30
 	}
-	if cfg.ValueBytes <= 0 {
-		cfg.ValueBytes = 32
-	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 10 * time.Second
-	}
-	if cfg.RetryDelay <= 0 {
-		cfg.RetryDelay = 250 * time.Millisecond
 	}
 	f := &SyncFlows{cfg: cfg, name: name, node: nd, u: simnet.UDPOf(nd)}
 	sc := nd.Network().Metrics.Instance("workload.syncflows." + metrics.Sanitize(name))
@@ -245,7 +244,7 @@ func (d *syncDevice) write() {
 		key = "s" + strconv.Itoa(rng.Intn(f.cfg.SharedKeys))
 	}
 	d.wseq++
-	val := make([]byte, f.cfg.ValueBytes)
+	val := make([]byte, syncValueBytes)
 	copy(val, fmt.Sprintf("d%d.%d", d.id, d.wseq))
 	if err := d.store.PutTentative(key, val); err == nil {
 		f.Writes++
@@ -271,7 +270,7 @@ func (d *syncDevice) sync() {
 		reschedule()
 		return
 	}
-	req, err := d.store.BeginUpSync("tier", f.cfg.MaxBatch)
+	req, err := d.store.BeginUpSync("tier", syncBatchAll)
 	if err != nil {
 		reschedule()
 		return
@@ -323,7 +322,7 @@ func (d *syncDevice) reply(from simnet.Addr, body any, bytes int) {
 		}
 		tracer.Annotate(d.ctx, "redirect")
 		d.retryT.Cancel()
-		d.retryT = sched.Rearm(f.cfg.RetryDelay, syncDevResend, d)
+		d.retryT = sched.Rearm(syncRetryDelay, syncDevResend, d)
 		return
 	}
 	d.timeout.Cancel()

@@ -42,8 +42,6 @@ type Config struct {
 	ThinkMean time.Duration
 	// Duration is how long the run lasts (virtual time). Zero means 60s.
 	Duration time.Duration
-	// Mix weights operations; nil means DefaultMix.
-	Mix Mix
 }
 
 func (c Config) withDefaults() Config {
@@ -52,9 +50,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Duration <= 0 {
 		c.Duration = time.Minute
-	}
-	if c.Mix == nil {
-		c.Mix = DefaultMix()
 	}
 	return c
 }
@@ -240,15 +235,18 @@ func (r *Runner) scheduleNext(u *user, deadline time.Duration) {
 	})
 }
 
+// runMix is the operation mix every run draws from.
+var runMix = DefaultMix()
+
 // pickOp draws an operation from the mix.
 func (r *Runner) pickOp() Op {
 	total := 0
-	for _, w := range r.cfg.Mix {
+	for _, w := range runMix {
 		total += w
 	}
 	n := r.mc.Net.Sched.Rand().Intn(total)
 	for _, op := range []Op{OpBrowse, OpPay, OpTrack, OpSearch, OpDownload} {
-		n -= r.cfg.Mix[op]
+		n -= runMix[op]
 		if n < 0 {
 			return op
 		}
